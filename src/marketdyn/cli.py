@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -111,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate_common(args) -> None:
     if not 0.0 < args.holdout < 1.0:
         raise ConfigError(f"holdout must be in (0, 1), got {args.holdout}")
-    if not args.dt > 0.0:
-        raise ConfigError(f"dt must be positive, got {args.dt}")
+    if not (math.isfinite(args.dt) and args.dt > 0.0):
+        raise ConfigError(f"dt must be positive and finite, got {args.dt}")
 
 
 def _validate_grid(args) -> None:
@@ -184,6 +185,8 @@ def _cmd_fit(args) -> int:
     _validate_grid(args)
     if args.auto_r and args.max_r < args.r:
         raise ConfigError(f"max-r {args.max_r} is below r {args.r}")
+    if args.auto_r and args.dump_candidates is not None:
+        raise ConfigError("--dump-candidates cannot be combined with --auto-r")
     _, scaled, _ = _load_and_scale(args)
     constraints = _constraints_for(scaled, args.constraints)
     if args.auto_r:

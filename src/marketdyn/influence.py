@@ -437,10 +437,7 @@ def save_alpha(alpha: InfluenceMatrix, ownership: tuple[int, ...], path) -> None
 
 
 def load_alpha(path) -> tuple[InfluenceMatrix, tuple[int, ...]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -11,14 +11,29 @@ evaluation order and of any internal parallelism.
 
 The candidate evaluations are pure and independent; the engine batches them
 into vectorized chunks whose per-candidate arithmetic is identical,
-operation for operation, to the scalar simulation path.
+operation for operation, to the scalar simulation path. A chunk is laid out
+as struct of arrays: one contiguous vector per free value, payoff entry and
+share.
+
+fit abandons a candidate early, after the UCR suite (Rakthanmanon et al.,
+KDD 2012), once its partial training error exceeds the lowest error of any
+chunk already finished. This is exact: the error is a sum of non-negative
+terms, IEEE addition of a non-negative term never lowers a sum, and the
+final division by the window length is monotone, so an abandoned candidate
+can neither win nor tie. Any bound at or above the true minimum yields the
+same winner, error and tie count, so thread timing cannot change the
+result. train_error_table, the candidate dump and the winner's validation
+pass evaluate every candidate in full. A non-finite error is never pruned
+and raises DataError.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,6 +158,7 @@ class _Problem:
     layout: tuple[Position, ...]
     zero_mask: frozenset
     symmetry_pairs: frozenset
+    terms: tuple[tuple[tuple[int, int], ...], ...]  # per payoff entry: (input, orbit), input ascending
     inputs: np.ndarray      # (L, n_y)
     target: np.ndarray      # (L,) strategy-1 share to match
     x0: np.ndarray          # (n,)
@@ -163,9 +179,16 @@ def _build_problem(
             f"constraint ownership {constraints.ownership} does not match "
             f"dataset ownership {dataset.ownership}"
         )
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
     (_, train_len), (_, total_len) = split(dataset, holdout_fraction)
     zero_mask, pairs = build_constraints(constraints, dataset.n, dataset.n_y)
     orbits = free_orbits(dataset.n, dataset.n_y, zero_mask, pairs)
+    orbit_of = {position: f for f, orbit in enumerate(orbits) for position in orbit}
+    terms = tuple(
+        tuple((m, orbit_of[k, m]) for m in range(dataset.n_y) if (k, m) in orbit_of)
+        for k in range(dataset.n * dataset.n)
+    )
     if target_series is None:
         target = dataset.share_series(0)
     else:
@@ -181,6 +204,7 @@ def _build_problem(
         layout=tuple(orbit[0] for orbit in orbits),
         zero_mask=zero_mask,
         symmetry_pairs=pairs,
+        terms=terms,
         inputs=np.array(dataset.inputs, dtype=float),
         target=target,
         x0=np.array(dataset.shares[0].shares, dtype=float),
@@ -191,115 +215,203 @@ def _build_problem(
 
 
 def _decode_values(lo: int, hi: int, radius: int, free_count: int) -> np.ndarray:
-    """Free-value rows for candidate ids [lo, hi); id order is exactly the
-    lexicographic order of the value tuples."""
+    """Free-value columns for candidate ids [lo, hi): row p holds free value
+    p of every candidate. Id order is exactly the lexicographic order of the
+    value tuples."""
     base = 2 * radius + 1
     rem = np.arange(lo, hi, dtype=np.int64)
-    values = np.empty((hi - lo, free_count), dtype=np.int64)
+    values = np.empty((free_count, hi - lo), dtype=np.int64)
     for p in range(free_count - 1, -1, -1):
         rem, digit = np.divmod(rem, base)
-        values[:, p] = digit - radius
+        values[p] = digit - radius
     return values
 
 
-def _materialize_chunk(problem: _Problem, values: np.ndarray) -> np.ndarray:
-    count = values.shape[0]
-    alpha = np.zeros((count, problem.n * problem.n, problem.n_y))
-    for f, orbit in enumerate(problem.orbits):
-        column = values[:, f].astype(np.float64)
-        for k, m in orbit:
-            alpha[:, k, m] = column
-    return alpha
-
-
-def _simulate_chunk(
-    problem: _Problem, alpha: np.ndarray, simulate_validation: bool
+# Overflow and NaN show up as non-finite errors, which raise DataError below.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _chunk_errors(
+    problem: _Problem,
+    values: np.ndarray,
+    bound: float = math.inf,
+    *,
+    first: int = 0,
+    validation: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trajectory-matching errors for a batch of candidates.
 
-    Mirrors the scalar path (synthesize_payoff, normalize_payoff,
-    replicator_rates, advance_shares) with identical per-element operation
-    order, so batch and scalar results agree bit for bit.
-    """
-    n, n_y = problem.n, problem.n_y
-    inputs, target, dt = problem.inputs, problem.target, problem.dt
-    count = alpha.shape[0]
-    stop = problem.total_len if simulate_validation else problem.train_len
+    ``values`` holds one row per free value and one column per candidate,
+    whose id is ``first`` plus the column. Mirrors the scalar path
+    (synthesize_payoff, normalize_payoff, replicator_rates, advance_shares)
+    with identical per-element operation order, so batch and scalar errors
+    agree bit for bit. Payoff entries are accumulated straight from the free
+    values; zero-mask terms are skipped, which can only change the sign of
+    a zero.
 
-    x = np.empty((count, n))
-    x[:] = problem.x0
-    d0 = x[:, 0] - target[0]
-    err_train = d0 * d0
-    err_val = np.zeros(count)
+    After each training step a candidate whose partial error already
+    exceeds ``bound`` is dropped and reads +inf in the returned training
+    errors. Returns (train, validation); validation errors are computed
+    only with ``validation``.
+    """
+    n, train_len, dt = problem.n, problem.train_len, problem.dt
+    inputs, target = problem.inputs.tolist(), problem.target.tolist()
+    free, count = values.shape
+    stop = problem.total_len if validation else train_len
+    prune = bound < math.inf
+    # Struct of arrays: one contiguous row per free value, per share, and
+    # per error sum, so dropping candidates compacts every row at once.
+    shares, train_row, val_row = free, free + n, free + n + 1
+    state = np.empty((free + n + 2, count))
+    state[:free] = values
+    state[shares:train_row] = problem.x0[:, None]
+    d0 = float(problem.x0[0]) - target[0]
+    state[train_row] = d0 * d0
+    state[val_row] = 0.0
+    live = np.arange(count)
 
     for t in range(1, stop):
         y = inputs[t - 1]
-        raw = alpha[:, :, 0] * y[0]
-        for m in range(1, n_y):
-            raw += alpha[:, :, m] * y[m]
+        x = state[shares:train_row]
+        raw = []
+        for entry in problem.terms:
+            if not entry:
+                raw.append(np.zeros(live.size))
+                continue
+            (m, f), *rest = entry
+            acc = state[f] * y[m]
+            for m, f in rest:
+                acc += state[f] * y[m]
+            raw.append(acc)
 
-        lo = raw.min(axis=1)
-        hi = raw.max(axis=1)
-        rng = hi - lo
+        lo = raw[0].copy()
+        rng = raw[0].copy()
+        for entry in raw[1:]:
+            np.minimum(lo, entry, out=lo)
+            np.maximum(rng, entry, out=rng)
+        rng -= lo
         degenerate = rng < DEGENERATE_RANGE
-        denom = np.where(degenerate, 1.0, rng)
-        payoff = np.where(degenerate[:, None], 0.5, (raw - lo[:, None]) / denom[:, None])
+        flat = bool(degenerate.any())
+        if flat:
+            rng[degenerate] = 1.0
+        for entry in raw:
+            entry -= lo
+            entry /= rng
+            if flat:
+                entry[degenerate] = 0.5
 
-        fitness = np.empty((count, n))
+        fitness = []  # raw now holds the normalized payoff entries
         for i in range(n):
-            acc = payoff[:, i * n] * x[:, 0]
+            acc = raw[i * n] * x[0]
             for j in range(1, n):
-                acc += payoff[:, i * n + j] * x[:, j]
-            fitness[:, i] = acc
-        mean = x[:, 0] * fitness[:, 0]
+                acc += raw[i * n + j] * x[j]
+            fitness.append(acc)
+        mean = x[0] * fitness[0]
         for i in range(1, n):
-            mean += x[:, i] * fitness[:, i]
-        rates = x * (fitness - mean[:, None])
+            mean += x[i] * fitness[i]
+        # x + dt * (x * (fitness - mean)), computed in place over fitness
+        nxt = fitness
+        for i in range(n):
+            nxt[i] -= mean
+            nxt[i] *= x[i]
+            nxt[i] *= dt
+            nxt[i] += x[i]
+            np.clip(nxt[i], 0.0, 1.0, out=nxt[i])
+        total = nxt[0] + nxt[1]
+        for i in range(2, n):
+            total += nxt[i]
+        for i in range(n):
+            np.divide(nxt[i], total, out=x[i])
 
-        nxt = x + dt * rates
-        np.clip(nxt, 0.0, 1.0, out=nxt)
-        total = nxt[:, 0].copy()
-        for i in range(1, n):
-            total += nxt[:, i]
-        x = nxt / total[:, None]
-
-        d = x[:, 0] - target[t]
-        if t < problem.train_len:
-            err_train += d * d
+        d = x[0] - target[t]
+        d *= d
+        if t < train_len:
+            state[train_row] += d
+            if prune:
+                # written so that a NaN partial error is kept and reported below
+                keep = ~(state[train_row] / train_len > bound)
+                if not keep.all():
+                    state = state[:, keep]
+                    live = live[keep]
+                    if not live.size:
+                        break
         else:
-            err_val += d * d
+            state[val_row] += d
 
-    err_train /= problem.train_len
-    validation_len = problem.total_len - problem.train_len
-    if simulate_validation and validation_len > 0:
-        err_val /= validation_len
-    return err_train, err_val
+    train = state[train_row] / train_len
+    val = state[val_row]
+    if validation:
+        val = val / (problem.total_len - train_len)
+    bad = ~(np.isfinite(train) & np.isfinite(val))
+    if bad.any():
+        raise DataError(
+            f"candidate {first + int(live[np.argmax(bad)])} has a non-finite error: "
+            "the inputs are too large for the payoff arithmetic; rescale them "
+            "(normalize the inputs)"
+        )
+    if live.size < count:
+        survivors, train = train, np.full(count, math.inf)
+        train[live] = survivors
+    return train, val
 
 
-def _chunk_ranges(total: int, chunk_size: int):
-    for lo in range(0, total, chunk_size):
-        yield lo, min(lo + chunk_size, total)
+class _RunningMin:
+    """Lowest training error of any chunk finished so far, shared by the
+    worker threads as the pruning bound."""
+
+    def __init__(self):
+        self.value = math.inf
+        self._lock = threading.Lock()
+
+    def lower(self, value: float) -> None:
+        with self._lock:
+            if value < self.value:
+                self.value = value
 
 
-def _evaluate_chunks(problem, grid, total, chunk_size, workers, simulate_validation):
-    """Yield (lo, hi, err_train, err_val) in candidate order."""
+def _evaluate_chunks(problem, radius, total, chunk_size, workers, prune):
+    """Yield (lo, values, train errors) per chunk, in candidate order.
+
+    With ``prune``, each chunk is bounded by the lowest error of the chunks
+    finished before it starts. That bound is at or above the true minimum,
+    so no minimizer is ever dropped, whatever the thread timing.
+    """
     free_count = len(problem.orbits)
+    running = _RunningMin()
 
-    def job(bounds):
-        lo, hi = bounds
-        values = _decode_values(lo, hi, grid.radius, free_count)
-        alpha = _materialize_chunk(problem, values)
-        err_train, err_val = _simulate_chunk(problem, alpha, simulate_validation)
-        return lo, hi, values, err_train, err_val
+    def job(lo):
+        values = _decode_values(lo, min(lo + chunk_size, total), radius, free_count)
+        bound = running.value if prune else math.inf
+        train, _ = _chunk_errors(problem, values, bound, first=lo)
+        running.lower(float(train.min()))
+        return lo, values, train
 
-    bounds = list(_chunk_ranges(total, chunk_size))
+    starts = range(0, total, chunk_size)
     if workers <= 1:
-        for b in bounds:
-            yield job(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map preserves submission order, so consumers see candidates in order
-            yield from pool.map(job, bounds)
+        for lo in starts:
+            yield job(lo)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # A bounded window of futures, consumed in submission order, keeps
+        # finished chunks from piling up behind a slow consumer.
+        pending = deque()
+        try:
+            for lo in starts:
+                pending.append(pool.submit(job, lo))
+                if len(pending) >= 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                if not future.cancel():
+                    future.exception()  # wait; the first failure is already raised
+
+
+def _write_dump_rows(dump_file, lo: int, values: np.ndarray, train: np.ndarray) -> None:
+    """One line per candidate: id, free values, training error at full
+    round-trip precision."""
+    line = "%d," * (values.shape[0] + 1) + "%.17g\n"
+    rows = zip(range(lo, lo + train.size), *values.tolist(), train.tolist())
+    dump_file.write("".join([line % row for row in rows]))
 
 
 def train_error_table(
@@ -323,10 +435,10 @@ def train_error_table(
             f"search space of {total} candidates exceeds the supported maximum {MAX_CANDIDATES}"
         )
     table = np.empty(total)
-    for lo, hi, _, err_train, _ in _evaluate_chunks(
-        problem, grid, total, chunk_size, workers, simulate_validation=False
+    for lo, _, train in _evaluate_chunks(
+        problem, grid.radius, total, chunk_size, workers, prune=False
     ):
-        table[lo:hi] = err_train
+        table[lo:lo + train.size] = train
     return table
 
 
@@ -363,26 +475,23 @@ def _fit_common(
     best_values: Optional[tuple[int, ...]] = None
     tie_count = 0
     try:
-        for lo, hi, values, err_train, _ in _evaluate_chunks(
-            problem, grid, total, chunk_size, workers, simulate_validation=False
+        # The dump needs every error, so only a dump-free search prunes.
+        for lo, values, train in _evaluate_chunks(
+            problem, grid.radius, total, chunk_size, workers, prune=dump_file is None
         ):
             if dump_file is not None:
-                for row in range(hi - lo):
-                    cells = [str(lo + row)]
-                    cells += [str(int(v)) for v in values[row]]
-                    cells += [format(float(err_train[row]), ".17g")]
-                    dump_file.write(",".join(cells) + "\n")
-            chunk_best = int(np.argmin(err_train)) if hi > lo else -1
-            if chunk_best >= 0:
-                chunk_err = float(err_train[chunk_best])
-                chunk_ties = int(np.count_nonzero(err_train == chunk_err))
-                if chunk_err < best_err:
-                    best_err = chunk_err
-                    best_index = lo + chunk_best
-                    best_values = tuple(int(v) for v in values[chunk_best])
-                    tie_count = chunk_ties
-                elif chunk_err == best_err:
-                    tie_count += chunk_ties
+                _write_dump_rows(dump_file, lo, values, train)
+            chunk_best = int(np.argmin(train))
+            chunk_err = float(train[chunk_best])
+            if chunk_err == math.inf:
+                continue  # every candidate of the chunk was pruned
+            if chunk_err < best_err:
+                best_err = chunk_err
+                best_index = lo + chunk_best
+                best_values = tuple(values[:, chunk_best].tolist())
+                tie_count = int(np.count_nonzero(train == chunk_err))
+            elif chunk_err == best_err:
+                tie_count += int(np.count_nonzero(train == chunk_err))
     finally:
         if dump_file is not None:
             dump_file.close()
@@ -394,10 +503,10 @@ def _fit_common(
         problem.n, problem.n_y, problem.zero_mask, problem.symmetry_pairs, best_values
     )
     # Winner-only pass through the validation window.
-    winner_batch = _materialize_chunk(
-        problem, np.array([best_values], dtype=np.int64)
+    _, err_val = _chunk_errors(
+        problem, np.array(best_values, dtype=np.int64)[:, None],
+        first=best_index, validation=True,
     )
-    _, err_val = _simulate_chunk(problem, winner_batch, simulate_validation=True)
 
     return FitReport(
         best_alpha=best_alpha,

@@ -8,6 +8,7 @@ renormalized to the simplex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ class ScenarioSpec:
             raise ValueError(f"scenario kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         object.__setattr__(self, "inputs", tuple(self.inputs))
 
 
@@ -95,8 +96,8 @@ def step(
     state: SharesState, y: InputVector, alpha: InfluenceMatrix, dt: float = 1.0
 ) -> tuple[SharesState, PayoffMatrix, np.ndarray]:
     """Advance one step; returns (next state, payoff used, rates used)."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     payoff = normalize_payoff(synthesize_payoff(alpha, y))
     rates = replicator_rates(payoff, state)
     return advance_shares(state, rates, dt), payoff, rates

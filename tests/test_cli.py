@@ -99,6 +99,37 @@ class TestFitCommand:
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
 
+    def test_non_finite_dt_is_config_error(self, planted_csv, tmp_path):
+        proc = run_cli("fit", "--data", planted_csv, "--dt", "inf",
+                       "--out", tmp_path / "r.json")
+        assert proc.returncode == 2
+        assert "dt must be positive and finite" in proc.stderr
+
+    def test_auto_r_with_dump_is_config_error(self, planted_csv, tmp_path):
+        dump = tmp_path / "errors.csv"
+        proc = run_cli("fit", "--data", planted_csv, "--r", 0, "--auto-r", "--max-r", 1,
+                       "--dump-candidates", dump, "--out", tmp_path / "r.json")
+        assert proc.returncode == 2
+        assert "--dump-candidates cannot be combined with --auto-r" in proc.stderr
+        assert not dump.exists()
+
+    def test_overflowing_inputs_are_data_error(self, planted_csv, tmp_path):
+        """Inputs near the float maximum overflow the payoff sums; the fit
+        must name a candidate instead of reporting a wrong winner."""
+        from marketdyn.dataset import load_csv
+
+        planted = load_csv(planted_csv)
+        huge = tmp_path / "huge.csv"
+        save_csv(MarketDataset(labels=planted.labels, shares=planted.shares,
+                               inputs=planted.inputs * 1e308,
+                               ownership=planted.ownership), huge)
+        proc = run_cli("fit", "--data", huge, "--r", 1, "--no-normalize-inputs",
+                       "--out", tmp_path / "r.json")
+        assert proc.returncode == 3
+        assert "non-finite error" in proc.stderr
+        assert "rescale" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
     def test_malformed_shares_are_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -113,6 +144,12 @@ class TestFitCommand:
 
 
 class TestSimulateCommand:
+    def test_non_finite_dt_is_config_error(self, planted_csv, fit_report, tmp_path):
+        proc = run_cli("simulate", "--data", planted_csv, "--alpha", fit_report,
+                       "--dt", "inf", "--out", tmp_path / "traj.csv")
+        assert proc.returncode == 2
+        assert "dt must be positive and finite" in proc.stderr
+
     def test_writes_trajectory_and_chart(self, planted_csv, fit_report, tmp_path):
         out = tmp_path / "traj.csv"
         svg = tmp_path / "traj.svg"

@@ -2,15 +2,20 @@
 
 import json
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DUOPOLY_MASK, DUOPOLY_PAIRS, DUOPOLY_SPEC, duopoly_alpha, make_dataset, ramp_inputs
 from marketdyn.dataset import MarketDataset
 from marketdyn.dynamics import SharesState
 from marketdyn.errors import ConfigError, DataError
-from marketdyn.influence import ConstraintSpec, InputVector, alpha_from_dict
+from marketdyn import learn
+from marketdyn.influence import ConstraintSpec, InfluenceMatrix, InputVector, alpha_from_dict
 from marketdyn.learn import (
     REPORT_FORMAT,
     FitReport,
@@ -29,6 +34,7 @@ from marketdyn.learn import (
 from marketdyn.simulate import custom_scenario, run
 
 PLANTED = (1, 0, -1, 1, 0, 1)
+WIGGLY = (0.3, 0.42, 0.37, 0.55, 0.61, 0.5, 0.66, 0.7)
 
 
 def planted_dataset(values=PLANTED, length=10, x0=0.35):
@@ -40,6 +46,31 @@ def planted_dataset(values=PLANTED, length=10, x0=0.35):
     labels = tuple(f"t{k:03d}" for k in range(length))
     return MarketDataset(labels=labels, shares=traj.states, inputs=inputs,
                          ownership=(0, 1, 0, 1))
+
+
+def decode(rank, radius, free_count=6):
+    """Free-value tuple at a lexicographic rank."""
+    digits = []
+    for _ in range(free_count):
+        rank, digit = divmod(rank, 2 * radius + 1)
+        digits.append(digit - radius)
+    return tuple(reversed(digits))
+
+
+def rank_of(values, radius):
+    rank = 0
+    for v in values:
+        rank = rank * (2 * radius + 1) + v + radius
+    return rank
+
+
+def scalar_train_error(dataset, alpha, train_len, dt):
+    """Training error of one coefficient matrix through simulate.run."""
+    wrapped = tuple(InputVector(values=row, ownership=dataset.ownership)
+                    for row in dataset.inputs)
+    spec = custom_scenario(wrapped, dataset.shares[0], horizon=train_len - 1, dt=dt)
+    series = run(spec, alpha).share_series(0)
+    return mse(series, dataset.share_series(0)[:train_len])
 
 
 class TestMse:
@@ -180,6 +211,132 @@ class TestTrainErrorTable:
         assert np.array_equal(a, b)
 
 
+def overflowing_dataset():
+    """Training inputs near the float maximum: the payoff sums of many
+    candidates overflow, while candidate 0 (every coefficient -1) stays
+    finite. The validation inputs are small."""
+    inputs = ramp_inputs(8)
+    inputs[:5] *= 0.7e308
+    return make_dataset(WIGGLY, inputs)
+
+
+class TestNonFiniteErrors:
+    def test_table_raises_naming_the_candidate(self):
+        with pytest.raises(DataError, match=r"candidate \d+ has a non-finite error.*rescale"):
+            train_error_table(overflowing_dataset(), GridSpec(1), DUOPOLY_SPEC, 0.2)
+
+    @pytest.mark.parametrize("workers, chunk", [(1, 1), (2, 5), (1, 16384)])
+    def test_fit_raises_instead_of_pruning(self, workers, chunk):
+        # from chunk size 1 on, every candidate after the first runs under a
+        # finite bound, which a NaN partial error must not be dropped by
+        with pytest.raises(DataError, match=r"candidate \d+ has a non-finite error"):
+            fit(overflowing_dataset(), GridSpec(1), DUOPOLY_SPEC, 0.2,
+                workers=workers, chunk_size=chunk)
+
+
+class TestPruning:
+    @pytest.mark.parametrize("workers, chunk", [(1, 1), (2, 1), (2, 3), (2, 64), (4, 2)])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_fit_matches_the_full_table(self, workers, chunk, frozen):
+        """Pruned candidates read +inf; a chunk pruned to nothing must not
+        add ties, whatever order the workers finish in."""
+        dataset = planted_dataset()
+        target = np.full(len(dataset), float(dataset.shares[0].shares[0])) if frozen else None
+        table = train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2,
+                                  target_series=target)
+        search = fit_constant_market if frozen else fit
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers as finely as possible
+        try:
+            report = search(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2,
+                            workers=workers, chunk_size=chunk)
+        finally:
+            sys.setswitchinterval(interval)
+        best = float(table.min())
+        assert report.train_error == best
+        assert report.tie_class_size == int(np.count_nonzero(table == best))
+        assert report.best_values == decode(int(np.argmin(table)), 1)
+
+    def test_chunks_in_flight_are_bounded(self, monkeypatch):
+        started = []
+        kernel = learn._chunk_errors
+
+        def counting(*args, **kwargs):
+            started.append(kwargs["first"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(learn, "_chunk_errors", counting)
+        problem = learn._build_problem(planted_dataset(), DUOPOLY_SPEC, 0.2, None, 1.0)
+        chunks = learn._evaluate_chunks(problem, 1, 729, 7, 2, prune=False)
+        first = next(chunks)
+        time.sleep(0.2)  # a consumer slower than the workers
+        assert len(started) <= 4
+        rest = list(chunks)
+        assert [first[0]] + [lo for lo, _, _ in rest] == list(range(0, 729, 7))
+        assert sorted(started) == list(range(0, 729, 7))
+
+
+class TestKernelProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.data(),
+        radius=st.integers(0, 2),
+        length=st.integers(5, 9),
+        dt=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_table_equals_scalar_run(self, data, radius, length, dt):
+        unit = st.floats(0.0, 1.0)
+        share1 = data.draw(st.lists(unit, min_size=length, max_size=length))
+        inputs = np.array(data.draw(st.lists(
+            st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+            min_size=length, max_size=length)))
+        dataset = make_dataset(share1, inputs)
+        (_, train_len), _ = split(dataset, 0.2)
+        table = train_error_table(dataset, GridSpec(radius), DUOPOLY_SPEC, 0.2, dt=dt)
+        for _ in range(3):
+            values = tuple(data.draw(st.lists(st.integers(-radius, radius),
+                                              min_size=6, max_size=6)))
+            expected = scalar_train_error(dataset, duopoly_alpha(values), train_len, dt)
+            assert table[rank_of(values, radius)] == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        share1=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=8),
+        dt=st.floats(0.0, 1.0, exclude_min=True),
+        workers=st.integers(1, 2),
+        chunk=st.integers(1, 100),
+    )
+    def test_fit_equals_table_reduction(self, share1, dt, workers, chunk):
+        dataset = make_dataset(share1, ramp_inputs(len(share1)))
+        table = train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, dt=dt)
+        report = fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, dt=dt,
+                     workers=workers, chunk_size=chunk)
+        best = float(table.min())
+        assert (report.best_values, report.train_error, report.tie_class_size) == (
+            decode(int(np.argmin(table)), 1), best, int(np.count_nonzero(table == best)))
+
+    def test_three_strategies_unconstrained(self):
+        """The kernel is generic in the strategy count."""
+        rng = np.random.default_rng(5)
+        length = 7
+        shares = tuple(SharesState(p) for p in rng.dirichlet(np.ones(3), size=length))
+        dataset = MarketDataset(labels=tuple(f"t{k}" for k in range(length)), shares=shares,
+                                inputs=rng.uniform(-1.0, 1.0, (length, 1)), ownership=(0,))
+        spec = ConstraintSpec(mode="unconstrained", swap=(0, 1, 2), input_pairing=(0,),
+                              ownership=(0,))
+        (_, train_len), _ = split(dataset, 0.2)
+        table = train_error_table(dataset, GridSpec(1), spec, 0.2, dt=0.5)
+        assert table.shape == (3**9,)
+        for rank in rng.integers(0, 3**9, size=20):
+            values = decode(int(rank), 1, free_count=9)
+            alpha = InfluenceMatrix(n=3, n_y=1, coeffs=np.array(values, dtype=float)[:, None])
+            assert table[rank] == scalar_train_error(dataset, alpha, train_len, 0.5)
+        report = fit(dataset, GridSpec(1), spec, 0.2, dt=0.5, workers=2, chunk_size=500)
+        best = float(table.min())
+        assert report.train_error == best
+        assert report.tie_class_size == int(np.count_nonzero(table == best))
+
+
 class TestConstantMarketFit:
     def test_zero_rate_family_wins_with_exact_zero_error(self):
         """Coefficients of the form (a, b, 0, a, 0, b) give identical payoff
@@ -217,6 +374,20 @@ class TestErrorDump:
                 winner_cells = cells
         assert winner_cells is not None
         assert float(winner_cells[7]) == report.train_error
+
+    def test_dump_bytes_match_per_row_formatting(self, tmp_path):
+        dataset = make_dataset(WIGGLY, ramp_inputs(8))
+        path = tmp_path / "table.csv"
+        fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, workers=2, chunk_size=100,
+            error_dump=path)
+        table = train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2)
+        lines = ["candidate_index," + ",".join(f"param_{f + 1}" for f in range(6))
+                 + ",train_error"]
+        for index, err in enumerate(table):
+            cells = [str(index)] + [str(int(v)) for v in decode(index, 1)]
+            cells += [format(float(err), ".17g")]
+            lines.append(",".join(cells))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestFitEscalating:

@@ -52,6 +52,12 @@ class TestScenarioSpec:
             ScenarioSpec(kind=CUSTOM_INPUTS, inputs=wrap_inputs(ramp_inputs(3)),
                          initial=SharesState(np.array([0.5, 0.5])), horizon=2, dt=0.0)
 
+    @pytest.mark.parametrize("dt", [float("inf"), float("nan")])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            ScenarioSpec(kind=CUSTOM_INPUTS, inputs=wrap_inputs(ramp_inputs(3)),
+                         initial=SharesState(np.array([0.5, 0.5])), horizon=2, dt=dt)
+
 
 class TestAdvanceShares:
     def test_plain_euler_step(self):
@@ -96,6 +102,8 @@ class TestStep:
         y = InputVector(values=np.ones(4), ownership=OWNERSHIP)
         with pytest.raises(ValueError, match="dt"):
             step(SharesState(np.array([0.5, 0.5])), y, alpha, dt=-1.0)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step(SharesState(np.array([0.5, 0.5])), y, alpha, dt=float("inf"))
 
 
 class TestRun:
