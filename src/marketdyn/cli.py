@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import learn, simulate, svgchart
-from .dynamics import DEGENERATE, classify_equilibria
+from .dynamics import classify_equilibria
 from .errors import ConfigError, DataError
 from .influence import (
     CONSTRAINT_MODES,
@@ -29,12 +29,9 @@ from .influence import (
     normalize_payoff,
     synthesize_payoff,
 )
+from .simulate import _fmt
 
 _MODE_FLAGS = {"full": FULL_SYMMETRY, "cross": CROSS_PAIRS_ONLY, "none": UNCONSTRAINED}
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _add_common_data_flags(parser: argparse.ArgumentParser) -> None:
@@ -134,6 +131,16 @@ def _load_and_scale(args) -> tuple[ds.MarketDataset, ds.MarketDataset, int]:
     return raw, scaled, train_len
 
 
+def _load_alpha_for(path, dataset: ds.MarketDataset):
+    """Coefficients from ``path``, checked against the dataset's inputs."""
+    alpha, _ = load_alpha(path)
+    if alpha.n_y != dataset.n_y:
+        raise ConfigError(
+            f"coefficients expect {alpha.n_y} inputs, dataset has {dataset.n_y}"
+        )
+    return alpha
+
+
 def _constraints_for(dataset: ds.MarketDataset, mode_flag: str) -> ConstraintSpec:
     mode = _MODE_FLAGS[mode_flag]
     if mode == UNCONSTRAINED:
@@ -208,12 +215,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     _validate_common(args)
-    alpha, _ = load_alpha(args.alpha)
     _, scaled, train_len = _load_and_scale(args)
-    if alpha.n_y != scaled.n_y:
-        raise ConfigError(
-            f"coefficients expect {alpha.n_y} inputs, dataset has {scaled.n_y}"
-        )
+    alpha = _load_alpha_for(args.alpha, scaled)
     trajectory = simulate.run(simulate.observed_scenario(scaled, dt=args.dt), alpha)
     simulate.write_trajectory_csv(trajectory, args.out)
     if args.svg:
@@ -246,11 +249,7 @@ def _cmd_scenario(args) -> int:
     else:
         if args.alpha is None:
             raise ConfigError(f"{args.kind} needs --alpha")
-        alpha, _ = load_alpha(args.alpha)
-        if alpha.n_y != scaled.n_y:
-            raise ConfigError(
-                f"coefficients expect {alpha.n_y} inputs, dataset has {scaled.n_y}"
-            )
+        alpha = _load_alpha_for(args.alpha, scaled)
         if args.kind == simulate.CONSTANT_INPUTS:
             spec = simulate.constant_scenario(scaled, dt=args.dt)
         else:
@@ -306,8 +305,7 @@ def _cmd_equilibria(args) -> int:
     else:
         point = ", ".join(_fmt(v) for v in eq.mixed.shares)
         print(f"mixed equilibrium: ({point}) [{eq.mixed_stability}]")
-        if eq.mixed_stability != DEGENERATE:
-            print("target equilibrium: (" + point + ")")
+        print("target equilibrium: (" + point + ")")
     return 0
 
 

@@ -178,49 +178,63 @@ def _parse_header(fields: list[str], line_no: int) -> tuple[int, int]:
     return n, n_y
 
 
+def _read_table(source) -> tuple[list[str], int, list[str], list[tuple[int, str]]]:
+    """Split a CSV table from a path or text stream into its '#' comment
+    lines, its header (line number and stripped fields) and its data lines
+    (line number and text). Blank lines are skipped."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        text = Path(source).read_text(encoding="utf-8")
+    comments = []
+    rows = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            comments.append(stripped.lstrip("#").strip())
+            continue
+        rows.append((line_no, line))
+    if not rows:
+        raise DataError("no header row found")
+    (header_no, header), *rows = rows
+    return comments, header_no, [f.strip() for f in _fields(header)], rows
+
+
+def _fields(line: str) -> list[str]:
+    return next(csv.reader(io.StringIO(line)))
+
+
+def _parse_row(line_no: int, line: str, width: int) -> tuple[str, list[float]]:
+    """A data row's label and the numbers after it; the row must have
+    ``width`` fields."""
+    fields = _fields(line)
+    if len(fields) != width:
+        raise DataError(f"line {line_no}: expected {width} fields, got {len(fields)}")
+    try:
+        return fields[0].strip(), [float(f) for f in fields[1:]]
+    except ValueError as exc:
+        raise DataError(f"line {line_no}: {exc}") from exc
+
+
 def load_csv(source, ownership: tuple[int, ...] | None = None) -> MarketDataset:
     """Parse a market dataset from a path or text stream.
 
     Share rows are renormalized to sum to exactly 1; a row whose raw sum
     falls outside [0.9, 1.1] is rejected with its line number.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+    return _dataset_from_table(*_read_table(source), ownership)
 
-    provenance_lines = []
-    data_lines: list[tuple[int, str]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            provenance_lines.append(stripped.lstrip("#").strip())
-            continue
-        data_lines.append((line_no, line))
 
-    if not data_lines:
-        raise DataError("no header row found")
-    header_no, header_line = data_lines[0]
-    header = next(csv.reader(io.StringIO(header_line)))
-    n, n_y = _parse_header([f.strip() for f in header], header_no)
-
+def _dataset_from_table(provenance, header_no, header, rows, ownership) -> MarketDataset:
+    n, n_y = _parse_header(header, header_no)
     labels: list[str] = []
     share_rows: list[SharesState] = []
     input_rows: list[list[float]] = []
-    for line_no, line in data_lines[1:]:
-        fields = next(csv.reader(io.StringIO(line)))
-        if len(fields) != 1 + n + n_y:
-            raise DataError(
-                f"line {line_no}: expected {1 + n + n_y} fields, got {len(fields)}"
-            )
-        label = fields[0].strip()
-        try:
-            raw_shares = [float(f) for f in fields[1 : 1 + n]]
-            raw_inputs = [float(f) for f in fields[1 + n :]]
-        except ValueError as exc:
-            raise DataError(f"line {line_no}: {exc}") from exc
+    for line_no, line in rows:
+        label, values = _parse_row(line_no, line, 1 + n + n_y)
+        raw_shares = values[:n]
         total = math.fsum(raw_shares)
         if not SHARE_SUM_MIN <= total <= SHARE_SUM_MAX:
             raise DataError(
@@ -230,7 +244,7 @@ def load_csv(source, ownership: tuple[int, ...] | None = None) -> MarketDataset:
             raise DataError(f"line {line_no}: negative share")
         labels.append(label)
         share_rows.append(SharesState(np.array(raw_shares) / total))
-        input_rows.append(raw_inputs)
+        input_rows.append(values[n:])
 
     if len(labels) < 2:
         raise DataError("length >= 2 required, got %d data rows" % len(labels))
@@ -241,7 +255,7 @@ def load_csv(source, ownership: tuple[int, ...] | None = None) -> MarketDataset:
         shares=tuple(share_rows),
         inputs=np.array(input_rows),
         ownership=ownership,
-        provenance="\n".join(provenance_lines),
+        provenance="\n".join(provenance),
     )
 
 
@@ -269,37 +283,19 @@ def save_csv(dataset: MarketDataset, target) -> None:
 def load_input_table(source) -> np.ndarray:
     """Parse an input-only series: ``label,y_1,...,y_K`` rows, or a full
     dataset file whose share columns are then ignored."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    lines = [
-        (no, line)
-        for no, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if not lines:
-        raise DataError("no header row found")
-    header = [f.strip() for f in next(csv.reader(io.StringIO(lines[0][1])))]
+    table = _read_table(source)
+    _, header_no, header, rows = table
     if any(f.startswith("share_") for f in header):
-        return load_csv(io.StringIO(text)).inputs
-    if not header or header[0] != "label" or len(header) < 2:
-        raise DataError(f"line {lines[0][0]}: header must be label,y_1,...,y_K")
+        return _dataset_from_table(*table, None).inputs
+    if header[0] != "label" or len(header) < 2:
+        raise DataError(f"line {header_no}: header must be label,y_1,...,y_K")
     for m, name in enumerate(header[1:]):
         if name != f"y_{m + 1}":
-            raise DataError(f"line {lines[0][0]}: unexpected column {name!r}")
-    rows = []
-    for no, line in lines[1:]:
-        fields = next(csv.reader(io.StringIO(line)))
-        if len(fields) != len(header):
-            raise DataError(f"line {no}: expected {len(header)} fields, got {len(fields)}")
-        try:
-            rows.append([float(f) for f in fields[1:]])
-        except ValueError as exc:
-            raise DataError(f"line {no}: {exc}") from exc
-    if not rows:
+            raise DataError(f"line {header_no}: unexpected column {name!r}")
+    values = [_parse_row(line_no, line, len(header))[1] for line_no, line in rows]
+    if not values:
         raise DataError("input series contains no data rows")
-    return np.array(rows)
+    return np.array(values)
 
 
 def example_dataset_path() -> Path:

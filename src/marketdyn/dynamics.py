@@ -1,8 +1,7 @@
 """Replicator dynamics on the strategy simplex.
 
-Share growth rates, interior equilibria of the two-strategy system, and an
-empirical stability classification obtained by probing the vector field on
-either side of the interior fixed point.
+Share growth rates, interior equilibria of the two-strategy system, and
+their stability in closed form.
 """
 
 from __future__ import annotations
@@ -20,11 +19,9 @@ EQUILIBRIUM_RATE_TOL = 1e-9
 # Two-strategy analysis constants.
 _DENOM_TOL = 1e-12
 _INTERIOR_TOL = 1e-9
-_PROBE_OFFSET = 1e-4
 
 STABLE = "stable"
 UNSTABLE = "unstable"
-DEGENERATE = "degenerate"
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -85,7 +82,7 @@ class SharesState:
 @dataclass(frozen=True)
 class EquilibriumSet:
     """Fixed points of the two-strategy dynamics: both vertices, plus the
-    interior point when one exists, labeled stable/unstable/degenerate."""
+    interior point when one exists, labeled stable or unstable."""
 
     vertices: tuple[SharesState, ...]
     mixed: Optional[SharesState]
@@ -148,16 +145,14 @@ def growth_condition(payoff: PayoffMatrix, state: SharesState) -> bool:
     return bool(a[0, 0] * x[0] + a[0, 1] * x[1] > a[1, 0] * x[0] + a[1, 1] * x[1])
 
 
-def _first_rate_at(payoff: PayoffMatrix, x1: float) -> float:
-    return float(replicator_rates(payoff, SharesState(np.array([x1, 1.0 - x1])))[0])
-
-
 def classify_equilibria(payoff: PayoffMatrix) -> EquilibriumSet:
     """All fixed points of the two-strategy system with stability labels.
 
-    Stability of the interior point is judged empirically from the sign of
-    the first share's rate just below and just above it. The probe offset
-    shrinks near the boundary so probe states stay interior.
+    The first share's rate is x1 (1 - x1) d (x1 - x1*) with
+    d = (a11 + a22) - (a21 + a12), so the interior point x1* is stable
+    exactly when d < 0 (Hofbauer & Sigmund, Evolutionary Games and
+    Population Dynamics, 1998). It exists only when |d| exceeds a
+    tolerance, so the sign is never in doubt.
     """
     _require_two_strategies(payoff.n)
     vertices = (
@@ -167,14 +162,6 @@ def classify_equilibria(payoff: PayoffMatrix) -> EquilibriumSet:
     mixed = mixed_equilibrium(payoff)
     label = None
     if mixed is not None:
-        x1 = float(mixed.shares[0])
-        eps = min(_PROBE_OFFSET, x1 / 2.0, (1.0 - x1) / 2.0)
-        below = _first_rate_at(payoff, x1 - eps)
-        above = _first_rate_at(payoff, x1 + eps)
-        if below > 0.0 > above:
-            label = STABLE
-        elif below < 0.0 < above:
-            label = UNSTABLE
-        else:
-            label = DEGENERATE
+        a = payoff.entries
+        label = STABLE if (a[0, 0] + a[1, 1]) - (a[1, 0] + a[0, 1]) < 0.0 else UNSTABLE
     return EquilibriumSet(vertices=vertices, mixed=mixed, mixed_stability=label)

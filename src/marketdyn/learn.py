@@ -22,9 +22,13 @@ terms, IEEE addition of a non-negative term never lowers a sum, and the
 final division by the window length is monotone, so an abandoned candidate
 can neither win nor tie. Any bound at or above the true minimum yields the
 same winner, error and tie count, so thread timing cannot change the
-result. train_error_table, the candidate dump and the winner's validation
-pass evaluate every candidate in full. A non-finite error is never pruned
-and raises DataError.
+result. train_error_table and the candidate dump evaluate every candidate
+in full, and so does fit when the inputs are large enough for the payoff
+arithmetic to overflow. A non-finite error is never pruned and raises
+DataError.
+
+The kernel scores the training window only. The winner's validation error
+comes from the reference simulator, simulate.run, over the whole series.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .influence import (
     build_constraints,
     free_orbits,
 )
+from .simulate import observed_scenario, run
 
 REPORT_FORMAT = "fit-report/1"
 DEFAULT_HOLDOUT = 0.2
@@ -235,8 +240,7 @@ def _chunk_errors(
     bound: float = math.inf,
     *,
     first: int = 0,
-    validation: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Trajectory-matching errors for a batch of candidates.
 
     ``values`` holds one row per free value and one column per candidate,
@@ -248,29 +252,25 @@ def _chunk_errors(
     a zero.
 
     After each training step a candidate whose partial error already
-    exceeds ``bound`` is dropped and reads +inf in the returned training
-    errors. Returns (train, validation); validation errors are computed
-    only with ``validation``.
+    exceeds ``bound`` is dropped and reads +inf in the returned errors.
     """
     n, train_len, dt = problem.n, problem.train_len, problem.dt
     inputs, target = problem.inputs.tolist(), problem.target.tolist()
     free, count = values.shape
-    stop = problem.total_len if validation else train_len
     prune = bound < math.inf
     # Struct of arrays: one contiguous row per free value, per share, and
-    # per error sum, so dropping candidates compacts every row at once.
-    shares, train_row, val_row = free, free + n, free + n + 1
-    state = np.empty((free + n + 2, count))
+    # for the error sum, so dropping candidates compacts every row at once.
+    shares, err_row = free, free + n
+    state = np.empty((free + n + 1, count))
     state[:free] = values
-    state[shares:train_row] = problem.x0[:, None]
+    state[shares:err_row] = problem.x0[:, None]
     d0 = float(problem.x0[0]) - target[0]
-    state[train_row] = d0 * d0
-    state[val_row] = 0.0
+    state[err_row] = d0 * d0
     live = np.arange(count)
 
-    for t in range(1, stop):
+    for t in range(1, train_len):
         y = inputs[t - 1]
-        x = state[shares:train_row]
+        x = state[shares:err_row]
         raw = []
         for entry in problem.terms:
             if not entry:
@@ -323,34 +323,32 @@ def _chunk_errors(
 
         d = x[0] - target[t]
         d *= d
-        if t < train_len:
-            state[train_row] += d
-            if prune:
-                # written so that a NaN partial error is kept and reported below
-                keep = ~(state[train_row] / train_len > bound)
-                if not keep.all():
-                    state = state[:, keep]
-                    live = live[keep]
-                    if not live.size:
-                        break
-        else:
-            state[val_row] += d
+        state[err_row] += d
+        if prune:
+            # written so that a NaN partial error is kept and reported below
+            keep = ~(state[err_row] / train_len > bound)
+            if not keep.all():
+                state = state[:, keep]
+                live = live[keep]
+                if not live.size:
+                    break
 
-    train = state[train_row] / train_len
-    val = state[val_row]
-    if validation:
-        val = val / (problem.total_len - train_len)
-    bad = ~(np.isfinite(train) & np.isfinite(val))
+    train = state[err_row] / train_len
+    bad = ~np.isfinite(train)
     if bad.any():
-        raise DataError(
-            f"candidate {first + int(live[np.argmax(bad)])} has a non-finite error: "
-            "the inputs are too large for the payoff arithmetic; rescale them "
-            "(normalize the inputs)"
-        )
+        raise _non_finite(first + int(live[np.argmax(bad)]))
     if live.size < count:
         survivors, train = train, np.full(count, math.inf)
         train[live] = survivors
-    return train, val
+    return train
+
+
+def _non_finite(candidate: int) -> DataError:
+    return DataError(
+        f"candidate {candidate} has a non-finite error: "
+        "the inputs are too large for the payoff arithmetic; rescale them "
+        "(normalize the inputs)"
+    )
 
 
 class _RunningMin:
@@ -380,7 +378,7 @@ def _evaluate_chunks(problem, radius, total, chunk_size, workers, prune):
     def job(lo):
         values = _decode_values(lo, min(lo + chunk_size, total), radius, free_count)
         bound = running.value if prune else math.inf
-        train, _ = _chunk_errors(problem, values, bound, first=lo)
+        train = _chunk_errors(problem, values, bound, first=lo)
         running.lower(float(train.min()))
         return lo, values, train
 
@@ -414,6 +412,18 @@ def _write_dump_rows(dump_file, lo: int, values: np.ndarray, train: np.ndarray) 
     dump_file.write("".join([line % row for row in rows]))
 
 
+def _setup_search(dataset, grid, constraints, holdout_fraction, target_series, dt):
+    """The search problem and its candidate count, checked against
+    MAX_CANDIDATES."""
+    problem = _build_problem(dataset, constraints, holdout_fraction, target_series, dt)
+    total = grid.candidate_count(len(problem.orbits))
+    if total > MAX_CANDIDATES:
+        raise ConfigError(
+            f"search space of {total} candidates exceeds the supported maximum {MAX_CANDIDATES}"
+        )
+    return problem, total
+
+
 def train_error_table(
     dataset: MarketDataset,
     grid: GridSpec,
@@ -428,12 +438,9 @@ def train_error_table(
     """Training error of every candidate, indexed by lexicographic rank of
     its free-value tuple. Intended for audits and small radii; memory grows
     with the full candidate count."""
-    problem = _build_problem(dataset, constraints, holdout_fraction, target_series, dt)
-    total = grid.candidate_count(len(problem.orbits))
-    if total > MAX_CANDIDATES:
-        raise ConfigError(
-            f"search space of {total} candidates exceeds the supported maximum {MAX_CANDIDATES}"
-        )
+    problem, total = _setup_search(
+        dataset, grid, constraints, holdout_fraction, target_series, dt
+    )
     table = np.empty(total)
     for lo, _, train in _evaluate_chunks(
         problem, grid.radius, total, chunk_size, workers, prune=False
@@ -454,13 +461,17 @@ def _fit_common(
     error_dump,
 ) -> FitReport:
     started = time.perf_counter()
-    problem = _build_problem(dataset, constraints, holdout_fraction, target_series, dt)
+    problem, total = _setup_search(
+        dataset, grid, constraints, holdout_fraction, target_series, dt
+    )
     free_count = len(problem.orbits)
-    total = grid.candidate_count(free_count)
-    if total > MAX_CANDIDATES:
-        raise ConfigError(
-            f"search space of {total} candidates exceeds the supported maximum {MAX_CANDIDATES}"
-        )
+    # Only a dump-free search prunes, since the dump needs every error. Nor
+    # does a search whose payoffs could overflow, where pruning could drop a
+    # candidate before its error turns non-finite: a raw payoff range is at
+    # most 2 r max_t sum_m |y_tm|, and twice that must be finite.
+    with np.errstate(over="ignore"):
+        reach = 4.0 * grid.radius * float(np.abs(problem.inputs).sum(axis=1).max())
+    prune = error_dump is None and math.isfinite(reach)
 
     dump_file = None
     if error_dump is not None:
@@ -475,9 +486,8 @@ def _fit_common(
     best_values: Optional[tuple[int, ...]] = None
     tie_count = 0
     try:
-        # The dump needs every error, so only a dump-free search prunes.
         for lo, values, train in _evaluate_chunks(
-            problem, grid.radius, total, chunk_size, workers, prune=dump_file is None
+            problem, grid.radius, total, chunk_size, workers, prune
         ):
             if dump_file is not None:
                 _write_dump_rows(dump_file, lo, values, train)
@@ -502,11 +512,14 @@ def _fit_common(
     best_alpha = InfluenceMatrix.from_free_values(
         problem.n, problem.n_y, problem.zero_mask, problem.symmetry_pairs, best_values
     )
-    # Winner-only pass through the validation window.
-    _, err_val = _chunk_errors(
-        problem, np.array(best_values, dtype=np.int64)[:, None],
-        first=best_index, validation=True,
-    )
+    try:
+        # Overflow surfaces as a non-finite payoff or share, which raises.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            trajectory = run(observed_scenario(dataset, dt), best_alpha)
+    except (ValueError, ArithmeticError) as exc:
+        raise _non_finite(best_index) from exc
+    held_out = slice(problem.train_len, None)
+    validation_error = mse(trajectory.share_series(0)[held_out], problem.target[held_out])
 
     return FitReport(
         best_alpha=best_alpha,
@@ -514,7 +527,7 @@ def _fit_common(
         free_layout=problem.layout,
         best_values=best_values,
         train_error=best_err,
-        validation_error=float(err_val[0]),
+        validation_error=float(validation_error),
         tie_class_size=tie_count,
         candidates_evaluated=total,
         radius=grid.radius,
@@ -542,7 +555,7 @@ def fit(
     normalized inputs. The winner minimizes training error; exact ties go
     to the lexicographically smallest free-value tuple, and tie_class_size
     reports how many candidates achieved the minimum. validation_error
-    continues the winning simulation through the holdout window.
+    scores the winner's simulate.run trajectory over the holdout window.
     """
     return _fit_common(
         dataset, grid, constraints, holdout_fraction,
@@ -590,8 +603,8 @@ def fit_escalating(
 
     Returns the first satisfying report, or the max_radius report when the
     target is never reached."""
-    if not error_target > 0.0:
-        raise ConfigError(f"error target must be positive, got {error_target}")
+    if not (math.isfinite(error_target) and error_target > 0.0):
+        raise ConfigError(f"error target must be positive and finite, got {error_target}")
     if start_radius < 0 or max_radius < start_radius:
         raise ConfigError(
             f"invalid radius range [{start_radius}, {max_radius}]"

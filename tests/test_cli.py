@@ -130,6 +130,24 @@ class TestFitCommand:
         assert "rescale" in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
+    def test_overflowing_validation_window_is_data_error(self, tmp_path):
+        inputs = ramp_inputs(8)
+        inputs[6:] *= 1e308  # read only after the 6-sample training window
+        data = tmp_path / "late.csv"
+        save_csv(make_dataset([0.3, 0.42, 0.37, 0.55, 0.61, 0.5, 0.66, 0.7], inputs), data)
+        proc = run_cli("fit", "--data", data, "--r", 1, "--no-normalize-inputs",
+                       "--out", tmp_path / "r.json")
+        assert proc.returncode == 3
+        assert "non-finite error" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
+    def test_non_finite_error_target_is_config_error(self, planted_csv, tmp_path):
+        proc = run_cli("fit", "--data", planted_csv, "--auto-r", "--error-target", "inf",
+                       "--out", tmp_path / "r.json")
+        assert proc.returncode == 2
+        assert "error target must be positive and finite" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
     def test_malformed_shares_are_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(

@@ -198,6 +198,16 @@ class TestLoadInputTable:
         with pytest.raises(DataError, match="unexpected column"):
             load_input_table(io.StringIO(text))
 
+    def test_wrong_field_count_names_the_line(self):
+        text = "# plan\nlabel,y_1,y_2\nq1,1.0,2.0\n\nq2,1.0\n"
+        with pytest.raises(DataError, match="line 5: expected 3 fields, got 2"):
+            load_input_table(io.StringIO(text))
+
+    def test_non_numeric_cell_names_the_line(self):
+        text = "label,y_1\nq1,1.0\nq2,high\n"
+        with pytest.raises(DataError, match="line 3: could not convert string to float: 'high'"):
+            load_input_table(io.StringIO(text))
+
 
 class TestBundledExample:
     def test_path_points_at_packaged_file(self):

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from marketdyn.dynamics import (
-    DEGENERATE,
     EQUILIBRIUM_RATE_TOL,
     STABLE,
     UNSTABLE,
@@ -201,6 +202,51 @@ class TestClassifyEquilibria:
             payoff = PayoffMatrix(rng.uniform(0.0, 1.0, size=(2, 2)))
             eq = classify_equilibria(payoff)
             if eq.mixed is not None:
-                assert eq.mixed_stability in (STABLE, UNSTABLE, DEGENERATE)
+                assert eq.mixed_stability in (STABLE, UNSTABLE)
                 labels.add(eq.mixed_stability)
         assert STABLE in labels and UNSTABLE in labels
+
+
+@st.composite
+def normalized_payoffs(draw, n, entries=st.floats(0.0, 1.0)):
+    return PayoffMatrix(np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+                        .reshape(n, n), normalized=True)
+
+
+@st.composite
+def interior_states(draw, n):
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return SharesState(weights / weights.sum())
+
+
+class TestReplicatorProperties:
+    """Textbook invariants of the replicator equation (Taylor & Jonker 1978;
+    Hofbauer & Sigmund 1998) over random payoffs and states."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4))
+    def test_rates_sum_to_zero(self, data, n):
+        rates = replicator_rates(data.draw(normalized_payoffs(n)), data.draw(interior_states(n)))
+        assert abs(float(rates.sum())) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(payoff=normalized_payoffs(2))
+    def test_rates_vanish_at_the_mixed_equilibrium(self, payoff):
+        mixed = mixed_equilibrium(payoff)
+        assume(mixed is not None)
+        assert np.all(np.abs(replicator_rates(payoff, mixed)) <= EQUILIBRIUM_RATE_TOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(payoff=normalized_payoffs(2, st.integers(0, 64).map(lambda k: k / 64)))
+    def test_label_matches_the_rate_on_either_side(self, payoff):
+        """Entries on a 1/64 grid keep the rates halfway to each vertex far
+        above rounding."""
+        eq = classify_equilibria(payoff)
+        assume(eq.mixed is not None)
+        x1 = float(eq.mixed.shares[0])
+        below, above = (float(replicator_rates(payoff, SharesState(np.array([p, 1.0 - p])))[0])
+                        for p in (x1 / 2.0, (1.0 + x1) / 2.0))
+        if eq.mixed_stability == STABLE:
+            assert below > 0.0 > above
+        else:
+            assert below < 0.0 < above

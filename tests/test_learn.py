@@ -233,6 +233,21 @@ class TestNonFiniteErrors:
             fit(overflowing_dataset(), GridSpec(1), DUOPOLY_SPEC, 0.2,
                 workers=workers, chunk_size=chunk)
 
+    def test_fit_agrees_with_table_when_late_overflow_could_be_pruned(self):
+        """Every input is near the float maximum, so some candidates overflow
+        only after a pruning search would have dropped them."""
+        dataset = make_dataset(WIGGLY, ramp_inputs(8) * 0.5e308)
+        with pytest.raises(DataError, match="candidate 53 has a non-finite error"):
+            train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2)
+        with pytest.raises(DataError, match="candidate 53 has a non-finite error"):
+            fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, chunk_size=1)
+
+    def test_overflowing_validation_window_names_the_winner(self):
+        inputs = ramp_inputs(8)
+        inputs[6:] *= 1e308  # read only after the 6-sample training window
+        with pytest.raises(DataError, match="candidate 563 has a non-finite error"):
+            fit(make_dataset(WIGGLY, inputs), GridSpec(1), DUOPOLY_SPEC, 0.2)
+
 
 class TestPruning:
     @pytest.mark.parametrize("workers, chunk", [(1, 1), (2, 1), (2, 3), (2, 64), (4, 2)])

@@ -4,9 +4,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import duopoly_alpha, make_dataset, ramp_inputs, RECOVERY_TARGET
-from marketdyn.dynamics import SharesState, replicator_rates
+from marketdyn.dynamics import SIMPLEX_TOL, SharesState, replicator_rates
 from marketdyn.errors import DataError
 from marketdyn.influence import InfluenceMatrix, InputVector
 from marketdyn.simulate import (
@@ -140,6 +142,47 @@ class TestRun:
         b = run(spec, alpha)
         for s1, s2 in zip(a.states, b.states):
             assert np.array_equal(s1.shares, s2.shares)
+
+
+def random_run(data, n, n_y, horizon, dt, coeff, value):
+    """A scenario and coefficients drawn from the given element strategies."""
+    coeffs = np.array(data.draw(st.lists(coeff, min_size=n * n * n_y, max_size=n * n * n_y)))
+    rows = data.draw(st.lists(st.lists(value, min_size=n_y, max_size=n_y),
+                              min_size=horizon + 1, max_size=horizon + 1))
+    weights = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    ownership = tuple(m % n for m in range(n_y))
+    spec = custom_scenario([InputVector(values=np.array(r), ownership=ownership) for r in rows],
+                           SharesState(weights / weights.sum()), dt=dt)
+    return spec, InfluenceMatrix(n=n, n_y=n_y, coeffs=coeffs.reshape(n * n, n_y))
+
+
+class TestRunProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 3), n_y=st.integers(1, 3),
+           horizon=st.integers(1, 6), dt=st.floats(0.0, 4.0, exclude_min=True))
+    def test_states_stay_on_the_simplex(self, data, n, n_y, horizon, dt):
+        spec, alpha = random_run(data, n, n_y, horizon, dt,
+                                 st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+        for state in run(spec, alpha).states:
+            x = state.shares
+            assert float(x.min()) >= 0.0 and float(x.max()) <= 1.0
+            assert abs(float(x.sum()) - 1.0) <= SIMPLEX_TOL
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 3), n_y=st.integers(1, 3),
+           horizon=st.integers(1, 6), dt=st.floats(0.0, 1.0, exclude_min=True),
+           power=st.integers(-8, 8))
+    def test_power_of_two_coefficient_scaling_changes_nothing(self, data, n, n_y, horizon,
+                                                              dt, power):
+        """Integer coefficients and inputs on a 1/8 grid make every payoff
+        sum exact, so the scaled run must match bit for bit."""
+        spec, alpha = random_run(data, n, n_y, horizon, dt, st.integers(-3, 3),
+                                 st.integers(-16, 16).map(lambda k: k / 8))
+        scaled = InfluenceMatrix(n=n, n_y=n_y, coeffs=alpha.coeffs * 2.0**power)
+        a, b = run(spec, alpha), run(spec, scaled)
+        for sa, sb, pa, pb in zip(a.states, b.states, a.payoffs, b.payoffs):
+            assert np.array_equal(sa.shares, sb.shares)
+            assert np.array_equal(pa.entries, pb.entries)
 
 
 class TestScenarioBuilders:
