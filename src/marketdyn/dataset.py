@@ -10,7 +10,6 @@ and the raw value of each external input.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -203,19 +202,23 @@ def _read_table(source) -> tuple[list[str], int, list[str], list[tuple[int, str]
 
 
 def _fields(line: str) -> list[str]:
-    return next(csv.reader(io.StringIO(line)))
+    return next(csv.reader((line,)))
 
 
 def _parse_row(line_no: int, line: str, width: int) -> tuple[str, list[float]]:
-    """A data row's label and the numbers after it; the row must have
-    ``width`` fields."""
+    """A data row's label and the finite numbers after it; the row must
+    have ``width`` fields."""
     fields = _fields(line)
     if len(fields) != width:
         raise DataError(f"line {line_no}: expected {width} fields, got {len(fields)}")
     try:
-        return fields[0].strip(), [float(f) for f in fields[1:]]
+        values = [float(f) for f in fields[1:]]
     except ValueError as exc:
         raise DataError(f"line {line_no}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        field = next(f for f, v in zip(fields[1:], values) if not math.isfinite(v))
+        raise DataError(f"line {line_no}: values must be finite, got {field.strip()!r}")
+    return fields[0].strip(), values
 
 
 def load_csv(source, ownership: tuple[int, ...] | None = None) -> MarketDataset:
@@ -243,7 +246,7 @@ def _dataset_from_table(provenance, header_no, header, rows, ownership) -> Marke
         if any(s < 0.0 for s in raw_shares):
             raise DataError(f"line {line_no}: negative share")
         labels.append(label)
-        share_rows.append(SharesState(np.array(raw_shares) / total))
+        share_rows.append(SharesState([s / total for s in raw_shares]))
         input_rows.append(values[n:])
 
     if len(labels) < 2:

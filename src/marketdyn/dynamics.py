@@ -6,6 +6,7 @@ their stability in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,9 +45,12 @@ class PayoffMatrix:
             raise ValueError(f"payoff matrix must be square, got shape {a.shape}")
         if a.shape[0] < 2:
             raise ValueError("payoff matrix needs at least 2 strategies")
-        if not np.all(np.isfinite(a)):
+        # Checks on Python floats: numpy reductions cost more than the
+        # arithmetic on matrices this small.
+        flat = a.ravel().tolist()
+        if not all(map(math.isfinite, flat)):
             raise ValueError("payoff entries must be finite")
-        if self.normalized and (float(a.min()) < 0.0 or float(a.max()) > 1.0):
+        if self.normalized and (min(flat) < 0.0 or max(flat) > 1.0):
             raise ValueError("normalized payoff entries must lie in [0, 1]")
         object.__setattr__(self, "entries", a)
 
@@ -65,10 +69,13 @@ class SharesState:
         x = _readonly(self.shares)
         if x.ndim != 1 or x.size < 2:
             raise ValueError(f"shares must be a vector of length >= 2, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
+        values = x.tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError("shares must be finite")
-        if float(x.min()) < 0.0 or float(x.max()) > 1.0:
+        if min(values) < 0.0 or max(values) > 1.0:
             raise ValueError("each share must lie in [0, 1]")
+        # numpy's sum, not a Python one: from 8 entries on it adds pairwise
+        # and rounds differently, which can move a total across the tolerance.
         total = float(x.sum())
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"shares must sum to 1 within {SIMPLEX_TOL}, got {total!r}")
@@ -99,22 +106,27 @@ def _require_two_strategies(n: int) -> None:
 def replicator_rates(payoff: PayoffMatrix, state: SharesState) -> np.ndarray:
     """Share growth rates x_i * ((A x)_i - x^T A x).
 
-    The accumulation order is fixed (ascending index) so results are
-    reproducible bit for bit across call sites.
+    Computed on Python floats, whose + - * / round exactly like numpy's
+    element-wise operations: each fitness and the mean fitness accumulate
+    from 0.0 in ascending index. The learn kernel applies the same
+    operations to each candidate in the same order, so the two agree bit
+    for bit.
     """
     if state.n != payoff.n:
         raise ValueError(
             f"dimension mismatch: payoff has {payoff.n} strategies, state has {state.n}"
         )
-    a = payoff.entries
-    x = state.shares
-    fitness = np.zeros(payoff.n)
-    for j in range(payoff.n):
-        fitness += a[:, j] * x[j]
+    x = state.shares.tolist()
+    fitness = []
+    for row in payoff.entries.tolist():
+        f = 0.0
+        for a_ij, x_j in zip(row, x):
+            f += a_ij * x_j
+        fitness.append(f)
     mean_fitness = 0.0
-    for i in range(payoff.n):
-        mean_fitness += x[i] * fitness[i]
-    return x * (fitness - mean_fitness)
+    for x_i, f_i in zip(x, fitness):
+        mean_fitness += x_i * f_i
+    return np.array([x_i * (f_i - mean_fitness) for x_i, f_i in zip(x, fitness)])
 
 
 def mixed_equilibrium(payoff: PayoffMatrix) -> Optional[SharesState]:

@@ -19,6 +19,7 @@ scaling of the coefficients.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,14 +72,14 @@ class InputVector:
         v = _readonly(self.values)
         if v.ndim != 1 or v.size < 1:
             raise ValueError(f"input values must be a non-empty vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not all(map(math.isfinite, v.tolist())):
             raise ValueError("input values must be finite")
-        own = tuple(int(s) for s in self.ownership)
+        own = tuple(map(int, self.ownership))
         if len(own) != v.size:
             raise ValueError(
                 f"ownership length {len(own)} does not match {v.size} inputs"
             )
-        if any(s < 0 for s in own):
+        if min(own) < 0:
             raise ValueError("ownership entries must be strategy indices >= 0")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "ownership", own)
@@ -353,19 +354,22 @@ def free_values(alpha: InfluenceMatrix) -> tuple[float, ...]:
 def synthesize_payoff(alpha: InfluenceMatrix, y: InputVector) -> PayoffMatrix:
     """Raw payoff matrix A with entry k = coeffs[k] . y, row-major.
 
-    Accumulation over inputs runs in ascending index order; see
-    replicator_rates for why the order is pinned.
+    Each entry accumulates from 0.0 over the inputs in ascending index, on
+    Python floats; see replicator_rates for why the order is pinned.
     """
     if y.n_y != alpha.n_y:
         raise ValueError(
             f"dimension mismatch: coefficients expect {alpha.n_y} inputs, got {y.n_y}"
         )
-    c = alpha.coeffs
-    v = y.values
-    raw = np.zeros(alpha.n * alpha.n)
-    for m in range(alpha.n_y):
-        raw += c[:, m] * v[m]
-    return PayoffMatrix(raw.reshape(alpha.n, alpha.n), normalized=False)
+    v = y.values.tolist()
+    raw = []
+    for row in alpha.coeffs.tolist():
+        acc = 0.0
+        for c_km, v_m in zip(row, v):
+            acc += c_km * v_m
+        raw.append(acc)
+    n = alpha.n
+    return PayoffMatrix([raw[i * n:(i + 1) * n] for i in range(n)], normalized=False)
 
 
 def normalize_payoff(payoff: PayoffMatrix) -> PayoffMatrix:
@@ -375,13 +379,21 @@ def normalize_payoff(payoff: PayoffMatrix) -> PayoffMatrix:
     uniform matrix of 0.5; every state is stationary under it.
     """
     a = payoff.entries
-    lo = float(a.min())
-    hi = float(a.max())
+    flat = a.ravel().tolist()
+    lo = min(flat)
+    hi = max(flat)
+    if lo == 0.0:
+        # Of several equal zeros, Python's min keeps the first and numpy's
+        # its own pick; the sign of lo shows in a - lo, so take numpy's.
+        # Equal non-zero floats have the same bits.
+        lo = float(a.min())
+    n = payoff.n
     if hi - lo < DEGENERATE_RANGE:
-        out = np.full(a.shape, 0.5)
+        out = [0.5] * (n * n)
     else:
-        out = (a - lo) / (hi - lo)
-    return PayoffMatrix(out, normalized=True)
+        span = hi - lo
+        out = [(v - lo) / span for v in flat]
+    return PayoffMatrix([out[i * n:(i + 1) * n] for i in range(n)], normalized=True)
 
 
 def alpha_to_dict(alpha: InfluenceMatrix, ownership: tuple[int, ...]) -> dict:

@@ -4,6 +4,11 @@ Forward Euler with a default step of one quarter: the payoff matrix is
 synthesized and normalized fresh from the inputs at every step, rates are
 evaluated there, and the updated shares are clamped to [0, 1] and
 renormalized to the simplex.
+
+The step helpers compute on Python floats in the learn kernel's
+per-element order; on vectors of two to sixteen entries numpy's per-call
+cost exceeds the arithmetic. run calls each helper once per step through
+this module's attributes, which is where perfbench's traced run wraps them.
 """
 
 from __future__ import annotations
@@ -81,15 +86,22 @@ class Trajectory:
 
 
 def advance_shares(state: SharesState, rates: np.ndarray, dt: float) -> SharesState:
-    """One Euler update, then clamp to [0, 1] and renormalize to sum 1."""
-    nxt = state.shares + dt * rates
-    nxt = np.clip(nxt, 0.0, 1.0)
+    """One Euler update, then clamp to [0, 1] and renormalize to sum 1.
+
+    Computed per share on Python floats, in the learn kernel's order:
+    x + dt * rate, clamped, then divided by the left-to-right total.
+    """
+    x = state.shares.tolist()
+    r = rates.tolist()
+    if len(r) != len(x):
+        raise ValueError(f"dimension mismatch: {len(x)} shares, {len(r)} rates")
+    nxt = [min(max(x_i + dt * r_i, 0.0), 1.0) for x_i, r_i in zip(x, r)]
     total = 0.0
     for v in nxt:
         total += v
     if not total > 0.0:
         raise ArithmeticError("share update collapsed to the zero vector")
-    return SharesState(nxt / total)
+    return SharesState([v / total for v in nxt])
 
 
 def step(
@@ -183,19 +195,24 @@ def _fmt(value: float) -> str:
 
 def write_trajectory_csv(trajectory: Trajectory, target) -> None:
     """Trajectory table: t, every share, every payoff entry (row-major),
-    every rate. Numbers carry full round-trip precision."""
+    every rate. Numbers carry full round-trip precision (%.17g)."""
     n = trajectory.states[0].n
     header = ["t"]
     header += [f"share_{i + 1}" for i in range(n)]
     header += [f"A_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     header += [f"rate_{i + 1}" for i in range(n)]
+    row = ",".join(["%.17g"] * len(header))
+    dt = trajectory.dt
     lines = [",".join(header)]
-    for idx in range(len(trajectory)):
-        row = [_fmt(trajectory.times[idx] * trajectory.dt)]
-        row += [_fmt(v) for v in trajectory.states[idx].shares]
-        row += [_fmt(v) for v in trajectory.payoffs[idx].entries.ravel()]
-        row += [_fmt(v) for v in trajectory.rates[idx]]
-        lines.append(",".join(row))
+    for t, state, payoff, rates in zip(
+        trajectory.times, trajectory.states, trajectory.payoffs, trajectory.rates
+    ):
+        lines.append(row % (
+            float(t * dt),
+            *state.shares.tolist(),
+            *payoff.entries.ravel().tolist(),
+            *rates.tolist(),
+        ))
     text = "\n".join(lines) + "\n"
     if hasattr(target, "write"):
         target.write(text)

@@ -1,8 +1,12 @@
 """Shared constants and builders for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import marketdyn
 from marketdyn.dataset import MarketDataset
 from marketdyn.dynamics import SharesState
 from marketdyn.influence import ConstraintSpec, InfluenceMatrix, build_constraints
@@ -51,3 +55,16 @@ def example_dataset():
     from marketdyn.dataset import load_example
 
     return load_example()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def cli_subprocesses_import_this_package():
+    """The CLI tests run ``python -m marketdyn.cli`` in a subprocess. Put the
+    directory this suite imports marketdyn from on the subprocess's path, so
+    that a plain checkout, found through pytest's ``pythonpath`` setting,
+    works without an install or PYTHONPATH."""
+    package_root = str(Path(marketdyn.__file__).resolve().parent.parent)
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+        yield

@@ -162,6 +162,19 @@ class TestFitCommand:
 
 
 class TestSimulateCommand:
+    def test_non_finite_dataset_cell_is_data_error_with_line(self, planted_csv, fit_report,
+                                                              tmp_path):
+        lines = planted_csv.read_text(encoding="utf-8").splitlines()
+        fields = lines[4].split(",")
+        fields[-2] = "nan"
+        lines[4] = ",".join(fields)
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = run_cli("simulate", "--data", bad, "--alpha", fit_report,
+                       "--out", tmp_path / "traj.csv")
+        assert proc.returncode == 3
+        assert "data error: line 5: values must be finite, got 'nan'" in proc.stderr
+
     def test_non_finite_dt_is_config_error(self, planted_csv, fit_report, tmp_path):
         proc = run_cli("simulate", "--data", planted_csv, "--alpha", fit_report,
                        "--dt", "inf", "--out", tmp_path / "traj.csv")
@@ -255,6 +268,19 @@ class TestScenarioCommand:
                        "--alpha", fit_report, "--inputs", table,
                        "--out", tmp_path / "t.csv")
         assert proc.returncode == 3
+
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    def test_custom_inputs_non_finite_cell_is_data_error_with_line(self, planted_csv,
+                                                                    fit_report, tmp_path, cell):
+        table = tmp_path / "future.csv"
+        table.write_text(f"label,y_1,y_2,y_3,y_4\nf0,0.5,0.5,0.5,0.5\nf1,0.5,{cell},0.5,0.5\n",
+                         encoding="utf-8")
+        proc = run_cli("scenario", "--data", planted_csv, "--kind", "custom-inputs",
+                       "--alpha", fit_report, "--inputs", table,
+                       "--out", tmp_path / "t.csv")
+        assert proc.returncode == 3
+        assert f"data error: line 3: values must be finite, got '{cell}'" in proc.stderr
 
 
 class TestEquilibriaCommand:

@@ -80,6 +80,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 5"):
             load_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_line(self, cell):
+        for row in (f"2020Q3,0.65,{cell},12.5,2.5", f"2020Q3,0.65,0.35,12.5,{cell}"):
+            text = GOOD_CSV.replace("2020Q3,0.65,0.35,12.5,2.5", row)
+            with pytest.raises(DataError, match=f"line 5: values must be finite, got '{cell}'"):
+                load_csv(io.StringIO(text))
+
     def test_single_data_row_rejected(self):
         bad = "label,share_1,share_2,y_1\n2020Q1,0.5,0.5,1.0\n"
         with pytest.raises(DataError, match="length >= 2"):
@@ -206,6 +213,12 @@ class TestLoadInputTable:
     def test_non_numeric_cell_names_the_line(self):
         text = "label,y_1\nq1,1.0\nq2,high\n"
         with pytest.raises(DataError, match="line 3: could not convert string to float: 'high'"):
+            load_input_table(io.StringIO(text))
+
+
+    def test_non_finite_cell_names_the_line(self):
+        text = "label,y_1,y_2\nq1,1.0,2.0\nq2,1.0, nan \n"
+        with pytest.raises(DataError, match="line 3: values must be finite, got 'nan'"):
             load_input_table(io.StringIO(text))
 
 
