@@ -24,14 +24,9 @@ import numpy as np
 
 from marketdyn.dataset import MarketDataset, load_csv, normalize_inputs
 from marketdyn.dynamics import SharesState
-from marketdyn.influence import (
-    ConstraintSpec,
-    InfluenceMatrix,
-    InputVector,
-    build_constraints,
-)
+from marketdyn.influence import ConstraintSpec, InfluenceMatrix, build_constraints
 from marketdyn.learn import GridSpec, fit
-from marketdyn.simulate import constant_scenario, custom_scenario, observed_scenario, run
+from marketdyn.simulate import ScenarioSpec, constant_scenario, observed_scenario, run
 
 HORIZON = 33  # quarters, 2009Q1 through 2017Q1
 TRAIN_END = 26  # matches the default 0.2 holdout split for 33 samples
@@ -90,12 +85,12 @@ def simulate_shares(raw_inputs: np.ndarray) -> np.ndarray:
         ownership=OWNERSHIP,
     )
     scaled, _ = normalize_inputs(base, (0, TRAIN_END))
-    wrapped = tuple(InputVector(values=row, ownership=OWNERSHIP) for row in scaled.inputs)
     spec = ConstraintSpec.standard_duopoly(4)
     mask, pairs = build_constraints(spec, 2, 4)
     alpha = InfluenceMatrix.from_free_values(2, 4, mask, pairs, FREE_VALUES)
     traj = run(
-        custom_scenario(wrapped, initial=SharesState(np.array(INITIAL)), horizon=HORIZON - 1),
+        ScenarioSpec(inputs=scaled.inputs, initial=SharesState(np.array(INITIAL)),
+                     horizon=HORIZON - 1),
         alpha,
     )
     return np.stack([state.shares for state in traj.states])

@@ -31,7 +31,6 @@ from .influence import (
     InputVector,
     build_constraints,
     constraint_check,
-    free_parameter_layout,
     load_alpha,
     normalize_payoff,
     save_alpha,
@@ -56,7 +55,6 @@ from .simulate import (
     observed_scenario,
     run,
     step,
-    target_equilibrium,
     write_trajectory_csv,
 )
 
@@ -86,7 +84,6 @@ __all__ = [
     "fit",
     "fit_constant_market",
     "fit_escalating",
-    "free_parameter_layout",
     "growth_condition",
     "load_alpha",
     "load_csv",
@@ -104,7 +101,6 @@ __all__ = [
     "split",
     "step",
     "synthesize_payoff",
-    "target_equilibrium",
     "train_error_table",
     "write_trajectory_csv",
 ]

@@ -84,8 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sc = sub.add_parser("scenario", help="counterfactual runs")
     _add_common_data_flags(p_sc)
     p_sc.add_argument("--kind", required=True,
-                      choices=[simulate.CONSTANT_INPUTS, "constant-market",
-                               simulate.CUSTOM_INPUTS])
+                      choices=["constant-inputs", "constant-market", "custom-inputs"])
     p_sc.add_argument("--alpha", default=None,
                       help="coefficient JSON (constant-inputs and custom-inputs kinds)")
     p_sc.add_argument("--inputs", default=None,
@@ -152,12 +151,7 @@ def _constraints_for(dataset: ds.MarketDataset, mode_flag: str) -> ConstraintSpe
         raise ConfigError(
             f"constraint mode {mode!r} needs a 2-strategy dataset, got n={dataset.n}"
         )
-    spec = ConstraintSpec.standard_duopoly(dataset.n_y, mode=mode)
-    if spec.ownership != dataset.ownership:
-        spec = ConstraintSpec(mode=mode, swap=spec.swap,
-                              input_pairing=spec.input_pairing,
-                              ownership=dataset.ownership)
-    return spec
+    return ConstraintSpec.standard_duopoly(dataset.n_y, mode=mode)
 
 
 def _write_chart(path, trajectory: simulate.Trajectory, train_len: int | None) -> None:
@@ -250,7 +244,7 @@ def _cmd_scenario(args) -> int:
         if args.alpha is None:
             raise ConfigError(f"{args.kind} needs --alpha")
         alpha = _load_alpha_for(args.alpha, scaled)
-        if args.kind == simulate.CONSTANT_INPUTS:
+        if args.kind == "constant-inputs":
             spec = simulate.constant_scenario(scaled, dt=args.dt)
         else:
             if args.inputs is None:
@@ -262,14 +256,14 @@ def _cmd_scenario(args) -> int:
                 )
             if args.normalize_inputs:
                 _, record = ds.normalize_inputs(raw, (0, train_len))
-                table = record.apply(table)
+                table = record.apply(table)  # a row that overflows is a DataError
             vectors = [InputVector(values=row, ownership=scaled.ownership) for row in table]
             spec = simulate.custom_scenario(vectors, scaled.shares[0], dt=args.dt)
         trajectory = simulate.run(spec, alpha)
 
     simulate.write_trajectory_csv(trajectory, args.out)
     if args.svg:
-        _write_chart(args.svg, trajectory, train_len if args.kind != simulate.CONSTANT_INPUTS else None)
+        _write_chart(args.svg, trajectory, train_len if args.kind != "constant-inputs" else None)
     final = trajectory.final.shares
     print("final shares: " + ", ".join(_fmt(v) for v in final))
     print(f"trajectory written to {args.out}")
@@ -285,7 +279,7 @@ def _cmd_equilibria(args) -> int:
     if len(values) != alpha.n_y:
         raise ConfigError(f"--y must supply {alpha.n_y} values, got {len(values)}")
     y = InputVector(values=np.array(values), ownership=ownership)
-    payoff = normalize_payoff(synthesize_payoff(alpha, y))
+    payoff = normalize_payoff(synthesize_payoff(alpha, y.values))
 
     print("normalized payoff matrix:")
     for row in payoff.entries:

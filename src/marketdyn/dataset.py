@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import SharesState, _readonly
 from .errors import DataError
-from .influence import InputVector, alternating_ownership
+from .influence import alternating_ownership
 
 SHARE_SUM_MIN = 0.9
 SHARE_SUM_MAX = 1.1
@@ -81,9 +81,6 @@ class MarketDataset:
     def n_y(self) -> int:
         return self.inputs.shape[1]
 
-    def input_vector(self, t: int) -> InputVector:
-        return InputVector(values=self.inputs[t], ownership=self.ownership)
-
     def share_series(self, strategy: int = 0) -> np.ndarray:
         return np.array([s.shares[strategy] for s in self.shares])
 
@@ -106,23 +103,32 @@ class NormalizationRecord:
     map to 0.5 everywhere.
     """
 
-    window: tuple[int, int]
     minima: tuple[float, ...]
     maxima: tuple[float, ...]
     constant: tuple[bool, ...]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
+        """Scale a (samples, n_y) table. A finite value whose scaled image
+        overflows raises DataError naming its data row (counted from 1)."""
         v = np.asarray(values, dtype=float)
-        if v.shape[-1] != len(self.minima):
+        if v.ndim != 2 or v.shape[1] != len(self.minima):
             raise ValueError(
-                f"record covers {len(self.minima)} inputs, got {v.shape[-1]}"
+                f"record covers {len(self.minima)} inputs, got shape {v.shape}"
             )
         out = np.empty_like(v)
-        for m in range(len(self.minima)):
-            if self.constant[m]:
-                out[..., m] = _CONSTANT_INPUT_VALUE
-            else:
-                out[..., m] = (v[..., m] - self.minima[m]) / (self.maxima[m] - self.minima[m])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(len(self.minima)):
+                if self.constant[m]:
+                    out[:, m] = _CONSTANT_INPUT_VALUE
+                else:
+                    out[:, m] = (v[:, m] - self.minima[m]) / (self.maxima[m] - self.minima[m])
+        overflow = np.isfinite(v) & ~np.isfinite(out)
+        if overflow.any():
+            t, m = np.argwhere(overflow)[0]
+            raise DataError(
+                f"data row {t + 1}: y_{m + 1} = {float(v[t, m])!r} overflows under the "
+                "min-max scaling of the training window; rescale the inputs"
+            )
         return out
 
 
@@ -149,7 +155,6 @@ def normalize_inputs(
         maxima.append(hi)
         constant.append(hi == lo)
     record = NormalizationRecord(
-        window=(start, stop),
         minima=tuple(minima),
         maxima=tuple(maxima),
         constant=tuple(constant),

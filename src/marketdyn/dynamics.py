@@ -15,7 +15,6 @@ import numpy as np
 from .errors import UnsupportedDimensionError
 
 SIMPLEX_TOL = 1e-9
-EQUILIBRIUM_RATE_TOL = 1e-9
 
 # Two-strategy analysis constants.
 _DENOM_TOL = 1e-12

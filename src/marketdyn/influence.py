@@ -63,7 +63,9 @@ def alternating_ownership(n_y: int, n: int = 2) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class InputVector:
     """External input factors at one point in time, plus the map saying
-    which strategy controls each input."""
+    which strategy controls each input: the validated form in which a
+    caller hands inputs in. Simulation steps read plain rows of a
+    scenario's input table."""
 
     values: np.ndarray
     ownership: tuple[int, ...]
@@ -83,10 +85,6 @@ class InputVector:
             raise ValueError("ownership entries must be strategy indices >= 0")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "ownership", own)
-
-    @property
-    def n_y(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -336,32 +334,19 @@ def free_orbits(
     return tuple(sorted(kept, key=lambda orbit: orbit[0]))
 
 
-def free_parameter_layout(alpha: InfluenceMatrix) -> tuple[Position, ...]:
-    """One representative coefficient position per free orbit, row-major.
-
-    Assigning a value to each listed position (and copying it across the
-    position's orbit) determines the whole coefficient matrix.
-    """
-    orbits = free_orbits(alpha.n, alpha.n_y, alpha.zero_mask, alpha.symmetry_pairs)
-    return tuple(orbit[0] for orbit in orbits)
-
-
-def free_values(alpha: InfluenceMatrix) -> tuple[float, ...]:
-    """Current coefficient values at the free layout positions."""
-    return tuple(float(alpha.coeffs[k, m]) for k, m in free_parameter_layout(alpha))
-
-
-def synthesize_payoff(alpha: InfluenceMatrix, y: InputVector) -> PayoffMatrix:
-    """Raw payoff matrix A with entry k = coeffs[k] . y, row-major.
+def synthesize_payoff(alpha: InfluenceMatrix, y) -> PayoffMatrix:
+    """Raw payoff matrix A with entry k = coeffs[k] . y, row-major, for the
+    1-d array ``y`` of input values at one time.
 
     Each entry accumulates from 0.0 over the inputs in ascending index, on
     Python floats; see replicator_rates for why the order is pinned.
     """
-    if y.n_y != alpha.n_y:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (alpha.n_y,):
         raise ValueError(
-            f"dimension mismatch: coefficients expect {alpha.n_y} inputs, got {y.n_y}"
+            f"dimension mismatch: coefficients expect {alpha.n_y} inputs, got shape {y.shape}"
         )
-    v = y.values.tolist()
+    v = y.tolist()
     raw = []
     for row in alpha.coeffs.tolist():
         acc = 0.0

@@ -28,7 +28,9 @@ arithmetic to overflow. A non-finite error is never pruned and raises
 DataError.
 
 The kernel scores the training window only. The winner's validation error
-comes from the reference simulator, simulate.run, over the whole series.
+comes from the reference simulator's step, simulate.step, iterated from the
+first observed shares over the input rows that lead to the holdout states;
+the last row drives no state, so it is not read.
 """
 
 from __future__ import annotations
@@ -56,13 +58,13 @@ from .influence import (
     build_constraints,
     free_orbits,
 )
-from .simulate import observed_scenario, run
+from .simulate import step
 
 REPORT_FORMAT = "fit-report/1"
 DEFAULT_HOLDOUT = 0.2
 DEFAULT_ERROR_TARGET = 4e-5
 MAX_CANDIDATES = 100_000_000
-_DEFAULT_CHUNK = 16384
+_CHUNK_SIZE = 16384  # candidates per chunk of the search
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,6 @@ def _build_problem(
     dataset: MarketDataset,
     constraints: ConstraintSpec,
     holdout_fraction: float,
-    target_series: Optional[np.ndarray],
     dt: float,
 ) -> _Problem:
     if constraints.ownership != dataset.ownership:
@@ -194,14 +195,6 @@ def _build_problem(
         tuple((m, orbit_of[k, m]) for m in range(dataset.n_y) if (k, m) in orbit_of)
         for k in range(dataset.n * dataset.n)
     )
-    if target_series is None:
-        target = dataset.share_series(0)
-    else:
-        target = np.asarray(target_series, dtype=float)
-        if target.shape != (len(dataset),):
-            raise ValueError(
-                f"target series must have length {len(dataset)}, got shape {target.shape}"
-            )
     return _Problem(
         n=dataset.n,
         n_y=dataset.n_y,
@@ -211,7 +204,7 @@ def _build_problem(
         symmetry_pairs=pairs,
         terms=terms,
         inputs=np.array(dataset.inputs, dtype=float),
-        target=target,
+        target=dataset.share_series(0),
         x0=np.array(dataset.shares[0].shares, dtype=float),
         train_len=train_len,
         total_len=total_len,
@@ -412,10 +405,10 @@ def _write_dump_rows(dump_file, lo: int, values: np.ndarray, train: np.ndarray) 
     dump_file.write("".join([line % row for row in rows]))
 
 
-def _setup_search(dataset, grid, constraints, holdout_fraction, target_series, dt):
+def _setup_search(dataset, grid, constraints, holdout_fraction, dt):
     """The search problem and its candidate count, checked against
     MAX_CANDIDATES."""
-    problem = _build_problem(dataset, constraints, holdout_fraction, target_series, dt)
+    problem = _build_problem(dataset, constraints, holdout_fraction, dt)
     total = grid.candidate_count(len(problem.orbits))
     if total > MAX_CANDIDATES:
         raise ConfigError(
@@ -430,20 +423,16 @@ def train_error_table(
     constraints: ConstraintSpec,
     holdout_fraction: float = DEFAULT_HOLDOUT,
     *,
-    target_series=None,
     dt: float = 1.0,
     workers: int = 1,
-    chunk_size: int = _DEFAULT_CHUNK,
 ) -> np.ndarray:
     """Training error of every candidate, indexed by lexicographic rank of
     its free-value tuple. Intended for audits and small radii; memory grows
     with the full candidate count."""
-    problem, total = _setup_search(
-        dataset, grid, constraints, holdout_fraction, target_series, dt
-    )
+    problem, total = _setup_search(dataset, grid, constraints, holdout_fraction, dt)
     table = np.empty(total)
     for lo, _, train in _evaluate_chunks(
-        problem, grid.radius, total, chunk_size, workers, prune=False
+        problem, grid.radius, total, _CHUNK_SIZE, workers, prune=False
     ):
         table[lo:lo + train.size] = train
     return table
@@ -454,16 +443,12 @@ def _fit_common(
     grid: GridSpec,
     constraints: ConstraintSpec,
     holdout_fraction: float,
-    target_series,
     dt: float,
     workers: int,
-    chunk_size: int,
     error_dump,
 ) -> FitReport:
     started = time.perf_counter()
-    problem, total = _setup_search(
-        dataset, grid, constraints, holdout_fraction, target_series, dt
-    )
+    problem, total = _setup_search(dataset, grid, constraints, holdout_fraction, dt)
     free_count = len(problem.orbits)
     # Only a dump-free search prunes, since the dump needs every error. Nor
     # does a search whose payoffs could overflow, where pruning could drop a
@@ -487,7 +472,7 @@ def _fit_common(
     tie_count = 0
     try:
         for lo, values, train in _evaluate_chunks(
-            problem, grid.radius, total, chunk_size, workers, prune
+            problem, grid.radius, total, _CHUNK_SIZE, workers, prune
         ):
             if dump_file is not None:
                 _write_dump_rows(dump_file, lo, values, train)
@@ -512,14 +497,18 @@ def _fit_common(
     best_alpha = InfluenceMatrix.from_free_values(
         problem.n, problem.n_y, problem.zero_mask, problem.symmetry_pairs, best_values
     )
+    predicted = []
+    x = dataset.shares[0]
     try:
         # Overflow surfaces as a non-finite payoff or share, which raises.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            trajectory = run(observed_scenario(dataset, dt), best_alpha)
+            for t in range(1, problem.total_len):
+                x = step(x, problem.inputs[t - 1], best_alpha, dt)[0]
+                if t >= problem.train_len:
+                    predicted.append(float(x.shares[0]))
     except (ValueError, ArithmeticError) as exc:
         raise _non_finite(best_index) from exc
-    held_out = slice(problem.train_len, None)
-    validation_error = mse(trajectory.share_series(0)[held_out], problem.target[held_out])
+    validation_error = mse(predicted, problem.target[problem.train_len:])
 
     return FitReport(
         best_alpha=best_alpha,
@@ -545,7 +534,6 @@ def fit(
     *,
     dt: float = 1.0,
     workers: int = 1,
-    chunk_size: int = _DEFAULT_CHUNK,
     error_dump=None,
 ) -> FitReport:
     """Exhaustive grid search against the observed share series.
@@ -555,12 +543,11 @@ def fit(
     normalized inputs. The winner minimizes training error; exact ties go
     to the lexicographically smallest free-value tuple, and tie_class_size
     reports how many candidates achieved the minimum. validation_error
-    scores the winner's simulate.run trajectory over the holdout window.
+    scores the winner's stepped shares over the holdout window.
     """
     return _fit_common(
         dataset, grid, constraints, holdout_fraction,
-        target_series=None, dt=dt, workers=workers,
-        chunk_size=chunk_size, error_dump=error_dump,
+        dt=dt, workers=workers, error_dump=error_dump,
     )
 
 
@@ -572,18 +559,21 @@ def fit_constant_market(
     *,
     dt: float = 1.0,
     workers: int = 1,
-    chunk_size: int = _DEFAULT_CHUNK,
     error_dump=None,
 ) -> FitReport:
     """Same search, but the target series is a market frozen at the first
     observed shares while the real inputs keep driving the payoffs. The
     resulting coefficients describe a hypothetical market that ignores the
     observed input trends."""
-    target = np.full(len(dataset), float(dataset.shares[0].shares[0]))
+    frozen = MarketDataset(
+        labels=dataset.labels,
+        shares=(dataset.shares[0],) * len(dataset),
+        inputs=dataset.inputs,
+        ownership=dataset.ownership,
+    )
     return _fit_common(
-        dataset, grid, constraints, holdout_fraction,
-        target_series=target, dt=dt, workers=workers,
-        chunk_size=chunk_size, error_dump=error_dump,
+        frozen, grid, constraints, holdout_fraction,
+        dt=dt, workers=workers, error_dump=error_dump,
     )
 
 
@@ -597,7 +587,6 @@ def fit_escalating(
     max_radius: int = 4,
     dt: float = 1.0,
     workers: int = 1,
-    chunk_size: int = _DEFAULT_CHUNK,
 ) -> FitReport:
     """Grow the search radius until the training error beats the target.
 
@@ -613,7 +602,7 @@ def fit_escalating(
     for radius in range(start_radius, max_radius + 1):
         report = fit(
             dataset, GridSpec(radius), constraints, holdout_fraction,
-            dt=dt, workers=workers, chunk_size=chunk_size,
+            dt=dt, workers=workers,
         )
         if report.train_error < error_target:
             return report

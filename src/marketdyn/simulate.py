@@ -5,6 +5,10 @@ synthesized and normalized fresh from the inputs at every step, rates are
 evaluated there, and the updated shares are clamped to [0, 1] and
 renormalized to the simplex.
 
+A scenario's inputs are one read-only (samples, n_y) table, validated once
+when the scenario is built; each step reads its row as a plain array.
+InputVector appears only where a caller hands inputs in (custom_scenario).
+
 The step helpers compute on Python floats in the learn kernel's
 per-element order; on vectors of two to sixteen entries numpy's per-call
 cost exceeds the arithmetic. run calls each helper once per step through
@@ -19,40 +23,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MarketDataset
-from .dynamics import (
-    PayoffMatrix,
-    SharesState,
-    mixed_equilibrium,
-    replicator_rates,
-)
+from .dynamics import PayoffMatrix, SharesState, _readonly, replicator_rates
 from .errors import DataError
-from .influence import InfluenceMatrix, InputVector, normalize_payoff, synthesize_payoff
-
-OBSERVED_INPUTS = "observed-inputs"
-CONSTANT_INPUTS = "constant-inputs"
-CUSTOM_INPUTS = "custom-inputs"
-SCENARIO_KINDS = (OBSERVED_INPUTS, CONSTANT_INPUTS, CUSTOM_INPUTS)
+from .influence import InfluenceMatrix, normalize_payoff, synthesize_payoff
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A fully resolved simulation request: one input vector per recorded
-    time 0..horizon, the starting shares, and the Euler step size."""
+    """A fully resolved simulation request: a (samples, n_y) input table
+    whose row t drives step t for t = 0..horizon, the starting shares, and
+    the Euler step size. The table is stored read-only."""
 
-    kind: str
-    inputs: tuple[InputVector, ...]
+    inputs: np.ndarray
     initial: SharesState
     horizon: int
     dt: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"scenario kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        object.__setattr__(self, "inputs", tuple(self.inputs))
+        table = _readonly(self.inputs)
+        if table.ndim != 2 or table.shape[1] < 1:
+            # worded per row, as InputVector words it
+            raise ValueError(
+                f"input values must be a non-empty vector, got shape {table.shape[1:]}"
+            )
+        if not np.isfinite(table).all():
+            raise ValueError("input values must be finite")
+        if len(table) <= self.horizon:
+            raise DataError(f"no input sample for step {len(table)}")
+        object.__setattr__(self, "inputs", table)
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,10 @@ def advance_shares(state: SharesState, rates: np.ndarray, dt: float) -> SharesSt
 
 
 def step(
-    state: SharesState, y: InputVector, alpha: InfluenceMatrix, dt: float = 1.0
+    state: SharesState, y: np.ndarray, alpha: InfluenceMatrix, dt: float = 1.0
 ) -> tuple[SharesState, PayoffMatrix, np.ndarray]:
-    """Advance one step; returns (next state, payoff used, rates used)."""
+    """Advance one step under the input row ``y``; returns (next state,
+    payoff used, rates used)."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     payoff = normalize_payoff(synthesize_payoff(alpha, y))
@@ -126,8 +129,6 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
     rates = []
     x = spec.initial
     for t in range(spec.horizon + 1):
-        if t >= len(spec.inputs):
-            raise DataError(f"no input sample for step {t}")
         payoff = normalize_payoff(synthesize_payoff(alpha, spec.inputs[t]))
         r = replicator_rates(payoff, x)
         payoffs.append(payoff)
@@ -147,8 +148,7 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
 def observed_scenario(dataset: MarketDataset, dt: float = 1.0) -> ScenarioSpec:
     """Replay the dataset's own input series from its first observed shares."""
     return ScenarioSpec(
-        kind=OBSERVED_INPUTS,
-        inputs=tuple(dataset.input_vector(t) for t in range(len(dataset))),
+        inputs=dataset.inputs,
         initial=dataset.shares[0],
         horizon=len(dataset) - 1,
         dt=dt,
@@ -161,10 +161,8 @@ def constant_scenario(
     """Counterfactual: every step sees the first observed input sample."""
     if horizon is None:
         horizon = len(dataset) - 1
-    first = dataset.input_vector(0)
     return ScenarioSpec(
-        kind=CONSTANT_INPUTS,
-        inputs=tuple(first for _ in range(horizon + 1)),
+        inputs=np.repeat(dataset.inputs[:1], max(horizon + 1, 0), axis=0),
         initial=dataset.shares[0],
         horizon=horizon,
         dt=dt,
@@ -174,19 +172,11 @@ def constant_scenario(
 def custom_scenario(
     inputs, initial: SharesState, horizon: int | None = None, dt: float = 1.0
 ) -> ScenarioSpec:
-    """User-supplied input series; horizon defaults to using it all."""
-    inputs = tuple(inputs)
+    """User-supplied series of InputVectors; horizon defaults to using it all."""
+    rows = [y.values for y in inputs]
     if horizon is None:
-        horizon = len(inputs) - 1
-    return ScenarioSpec(
-        kind=CUSTOM_INPUTS, inputs=inputs, initial=initial, horizon=horizon, dt=dt
-    )
-
-
-def target_equilibrium(alpha: InfluenceMatrix, y: InputVector) -> SharesState | None:
-    """Interior equilibrium the dynamics would chase if the inputs froze at
-    y: synthesize, normalize, then solve the two-strategy fixed point."""
-    return mixed_equilibrium(normalize_payoff(synthesize_payoff(alpha, y)))
+        horizon = len(rows) - 1
+    return ScenarioSpec(inputs=np.array(rows), initial=initial, horizon=horizon, dt=dt)
 
 
 def _fmt(value: float) -> str:

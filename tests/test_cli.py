@@ -282,6 +282,20 @@ class TestScenarioCommand:
         assert proc.returncode == 3
         assert f"data error: line 3: values must be finite, got '{cell}'" in proc.stderr
 
+    def test_custom_inputs_overflowing_the_scaling_is_data_error_with_row(self, fit_report,
+                                                                         tmp_path):
+        data = tmp_path / "tiny.csv"
+        save_csv(make_dataset([0.4 + 0.01 * k for k in range(10)],
+                              ramp_inputs(10) * 1e-300), data)
+        table = tmp_path / "future.csv"
+        table.write_text("label,y_1,y_2,y_3,y_4\nf0,0.5,0.5,0.5,0.5\nf1,1e10,0.5,0.5,0.5\n",
+                         encoding="utf-8")
+        proc = run_cli("scenario", "--data", data, "--kind", "custom-inputs",
+                       "--alpha", fit_report, "--inputs", table, "--out", tmp_path / "t.csv")
+        assert proc.returncode == 3
+        assert "data error: data row 2: y_1 = 10000000000.0 overflows" in proc.stderr
+        assert "Warning" not in proc.stderr
+
 
 class TestEquilibriaCommand:
     def test_prints_structure(self, fit_report):

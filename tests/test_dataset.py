@@ -146,12 +146,6 @@ class TestMarketDatasetValidation:
             MarketDataset(labels=("a", "b"), shares=shares,
                           inputs=ramp_inputs(2), ownership=(0, 1, 0, 5))
 
-    def test_input_vector_accessor(self):
-        dataset = make_dataset([0.4, 0.6], ramp_inputs(2))
-        y = dataset.input_vector(1)
-        assert np.array_equal(y.values, dataset.inputs[1])
-        assert y.ownership == dataset.ownership
-
 
 class TestNormalizeInputs:
     def test_statistics_come_from_window_only(self):
@@ -181,6 +175,14 @@ class TestNormalizeInputs:
         _, record = normalize_inputs(dataset, (0, 3))
         with pytest.raises(ValueError, match="covers 4 inputs"):
             record.apply(np.ones((2, 3)))
+
+    def test_value_overflowing_the_window_scaling_names_its_row(self):
+        inputs = ramp_inputs(4) * 1e-300
+        inputs[3, 2] = 1e10
+        dataset = make_dataset([0.5, 0.5, 0.5, 0.5], inputs)
+        with np.errstate(all="raise"):  # and no floating-point warning
+            with pytest.raises(DataError, match=r"^data row 4: y_3 = 10000000000.0 overflows"):
+                normalize_inputs(dataset, (0, 3))
 
     def test_full_window_lands_in_unit_box(self):
         dataset = make_dataset([0.4, 0.5, 0.6, 0.7], ramp_inputs(4))

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from marketdyn.dynamics import (
-    EQUILIBRIUM_RATE_TOL,
     STABLE,
     UNSTABLE,
     PayoffMatrix,
@@ -17,6 +16,8 @@ from marketdyn.dynamics import (
     replicator_rates,
 )
 from marketdyn.errors import UnsupportedDimensionError
+
+EQUILIBRIUM_RATE_TOL = 1e-9
 
 
 def interior_state(rng, n: int) -> SharesState:

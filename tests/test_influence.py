@@ -27,8 +27,6 @@ from marketdyn.influence import (
     build_constraints,
     constraint_check,
     free_orbits,
-    free_parameter_layout,
-    free_values,
     load_alpha,
     normalize_payoff,
     payoff_coords,
@@ -61,10 +59,6 @@ class TestInputVector:
     def test_negative_owner(self):
         with pytest.raises(ValueError, match=">= 0"):
             InputVector(values=np.array([1.0]), ownership=(-1,))
-
-    def test_n_y(self):
-        y = InputVector(values=np.array([1.0, 2.0, 3.0]), ownership=(0, 1, 0))
-        assert y.n_y == 3
 
 
 class TestConstraintSpec:
@@ -140,8 +134,9 @@ class TestInfluenceMatrix:
 
     def test_free_layout_and_values_roundtrip(self):
         alpha = duopoly_alpha(RECOVERY_TARGET)
-        assert free_parameter_layout(alpha) == FULL_LAYOUT
-        assert free_values(alpha) == tuple(float(v) for v in RECOVERY_TARGET)
+        layout = tuple(orbit[0] for orbit in free_orbits(2, 4, DUOPOLY_MASK, DUOPOLY_PAIRS))
+        assert layout == FULL_LAYOUT
+        assert tuple(alpha.coeffs[k, m] for k, m in layout) == RECOVERY_TARGET
 
     def test_wrong_free_value_count(self):
         with pytest.raises(ValueError, match="expected 6 free values"):
@@ -192,15 +187,13 @@ class TestConstraintCheck:
 class TestPayoffSynthesis:
     def test_hand_computed_entries(self):
         alpha = duopoly_alpha((1, 2, 3, 4, 5, 6))
-        y = InputVector(values=np.ones(4), ownership=DUOPOLY_SPEC.ownership)
-        payoff = synthesize_payoff(alpha, y)
+        payoff = synthesize_payoff(alpha, np.ones(4))
         assert np.array_equal(payoff.entries, np.array([[3.0, 18.0], [18.0, 3.0]]))
 
     def test_input_count_mismatch(self):
         alpha = duopoly_alpha(RECOVERY_TARGET)
-        y = InputVector(values=np.ones(3), ownership=(0, 1, 0))
         with pytest.raises(ValueError, match="expect 4 inputs"):
-            synthesize_payoff(alpha, y)
+            synthesize_payoff(alpha, np.ones(3))
 
     def test_normalize_maps_to_unit_range(self):
         payoff = PayoffMatrix(np.array([[2.0, 4.0], [6.0, 10.0]]))
@@ -220,8 +213,7 @@ class TestPayoffSynthesis:
             coeffs = rng.uniform(-2.0, 2.0, size=(4, 4))
             alpha = InfluenceMatrix(n=2, n_y=4, coeffs=coeffs)
             tripled = InfluenceMatrix(n=2, n_y=4, coeffs=3.0 * coeffs)
-            y = InputVector(values=rng.uniform(0.0, 1.0, size=4),
-                            ownership=(0, 1, 0, 1))
+            y = rng.uniform(0.0, 1.0, size=4)
             a = normalize_payoff(synthesize_payoff(alpha, y)).entries
             b = normalize_payoff(synthesize_payoff(tripled, y)).entries
             assert np.allclose(a, b, atol=1e-12)

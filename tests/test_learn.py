@@ -1,5 +1,6 @@
 """Tests for the grid-search learner."""
 
+import contextlib
 import json
 import math
 import sys
@@ -46,6 +47,14 @@ def planted_dataset(values=PLANTED, length=10, x0=0.35):
     labels = tuple(f"t{k:03d}" for k in range(length))
     return MarketDataset(labels=labels, shares=traj.states, inputs=inputs,
                          ownership=(0, 1, 0, 1))
+
+
+@contextlib.contextmanager
+def chunk_size(size):
+    """Run the search in chunks of ``size`` candidates."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learn, "_CHUNK_SIZE", size)
+        yield
 
 
 def decode(rank, radius, free_count=6):
@@ -167,8 +176,8 @@ class TestFit:
         dataset = planted_dataset()
         base = fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2)
         for workers, chunk in ((3, 64), (2, 7), (1, 11)):
-            other = fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2,
-                        workers=workers, chunk_size=chunk)
+            with chunk_size(chunk):
+                other = fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, workers=workers)
             assert other.best_values == base.best_values
             assert other.train_error == base.train_error
             assert other.validation_error == base.validation_error
@@ -206,8 +215,8 @@ class TestTrainErrorTable:
     def test_parallel_table_is_bitwise_identical(self):
         dataset = planted_dataset()
         a = train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2)
-        b = train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2,
-                              workers=4, chunk_size=13)
+        with chunk_size(13):
+            b = train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, workers=4)
         assert np.array_equal(a, b)
 
 
@@ -229,9 +238,9 @@ class TestNonFiniteErrors:
     def test_fit_raises_instead_of_pruning(self, workers, chunk):
         # from chunk size 1 on, every candidate after the first runs under a
         # finite bound, which a NaN partial error must not be dropped by
-        with pytest.raises(DataError, match=r"candidate \d+ has a non-finite error"):
-            fit(overflowing_dataset(), GridSpec(1), DUOPOLY_SPEC, 0.2,
-                workers=workers, chunk_size=chunk)
+        with chunk_size(chunk), pytest.raises(DataError,
+                                              match=r"candidate \d+ has a non-finite error"):
+            fit(overflowing_dataset(), GridSpec(1), DUOPOLY_SPEC, 0.2, workers=workers)
 
     def test_fit_agrees_with_table_when_late_overflow_could_be_pruned(self):
         """Every input is near the float maximum, so some candidates overflow
@@ -239,14 +248,27 @@ class TestNonFiniteErrors:
         dataset = make_dataset(WIGGLY, ramp_inputs(8) * 0.5e308)
         with pytest.raises(DataError, match="candidate 53 has a non-finite error"):
             train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2)
-        with pytest.raises(DataError, match="candidate 53 has a non-finite error"):
-            fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, chunk_size=1)
+        with chunk_size(1), pytest.raises(DataError,
+                                          match="candidate 53 has a non-finite error"):
+            fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2)
 
     def test_overflowing_validation_window_names_the_winner(self):
         inputs = ramp_inputs(8)
         inputs[6:] *= 1e308  # read only after the 6-sample training window
         with pytest.raises(DataError, match="candidate 563 has a non-finite error"):
             fit(make_dataset(WIGGLY, inputs), GridSpec(1), DUOPOLY_SPEC, 0.2)
+
+    def test_last_input_row_drives_no_validated_state(self):
+        """Row 7 of 8 drives no step: the holdout states 6 and 7 come from
+        rows 0-6, so an overflowing row 7 leaves the fit as it was."""
+        clean = fit(make_dataset(WIGGLY, ramp_inputs(8)), GridSpec(1), DUOPOLY_SPEC, 0.2)
+        inputs = ramp_inputs(8)
+        inputs[7] *= 1e308
+        report = fit(make_dataset(WIGGLY, inputs), GridSpec(1), DUOPOLY_SPEC, 0.2)
+        assert report.validation_error == clean.validation_error == 0.05056061052615249
+        assert report.best_values == clean.best_values
+        assert report.train_error == clean.train_error
+        assert report.tie_class_size == clean.tie_class_size
 
 
 class TestPruning:
@@ -256,15 +278,20 @@ class TestPruning:
         """Pruned candidates read +inf; a chunk pruned to nothing must not
         add ties, whatever order the workers finish in."""
         dataset = planted_dataset()
-        target = np.full(len(dataset), float(dataset.shares[0].shares[0])) if frozen else None
-        table = train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2,
-                                  target_series=target)
+        scored = dataset
+        if frozen:
+            # the market fit_constant_market scores against: same start and
+            # inputs, shares frozen at the first observation
+            scored = MarketDataset(labels=dataset.labels,
+                                   shares=(dataset.shares[0],) * len(dataset),
+                                   inputs=dataset.inputs, ownership=dataset.ownership)
+        table = train_error_table(scored, GridSpec(1), DUOPOLY_SPEC, 0.2)
         search = fit_constant_market if frozen else fit
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers as finely as possible
         try:
-            report = search(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2,
-                            workers=workers, chunk_size=chunk)
+            with chunk_size(chunk):
+                report = search(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, workers=workers)
         finally:
             sys.setswitchinterval(interval)
         best = float(table.min())
@@ -281,7 +308,7 @@ class TestPruning:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(learn, "_chunk_errors", counting)
-        problem = learn._build_problem(planted_dataset(), DUOPOLY_SPEC, 0.2, None, 1.0)
+        problem = learn._build_problem(planted_dataset(), DUOPOLY_SPEC, 0.2, 1.0)
         chunks = learn._evaluate_chunks(problem, 1, 729, 7, 2, prune=False)
         first = next(chunks)
         time.sleep(0.2)  # a consumer slower than the workers
@@ -324,8 +351,8 @@ class TestKernelProperties:
     def test_fit_equals_table_reduction(self, share1, dt, workers, chunk):
         dataset = make_dataset(share1, ramp_inputs(len(share1)))
         table = train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, dt=dt)
-        report = fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, dt=dt,
-                     workers=workers, chunk_size=chunk)
+        with chunk_size(chunk):
+            report = fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, dt=dt, workers=workers)
         best = float(table.min())
         assert (report.best_values, report.train_error, report.tie_class_size) == (
             decode(int(np.argmin(table)), 1), best, int(np.count_nonzero(table == best)))
@@ -346,7 +373,8 @@ class TestKernelProperties:
             values = decode(int(rank), 1, free_count=9)
             alpha = InfluenceMatrix(n=3, n_y=1, coeffs=np.array(values, dtype=float)[:, None])
             assert table[rank] == scalar_train_error(dataset, alpha, train_len, 0.5)
-        report = fit(dataset, GridSpec(1), spec, 0.2, dt=0.5, workers=2, chunk_size=500)
+        with chunk_size(500):
+            report = fit(dataset, GridSpec(1), spec, 0.2, dt=0.5, workers=2)
         best = float(table.min())
         assert report.train_error == best
         assert report.tie_class_size == int(np.count_nonzero(table == best))
@@ -393,8 +421,8 @@ class TestErrorDump:
     def test_dump_bytes_match_per_row_formatting(self, tmp_path):
         dataset = make_dataset(WIGGLY, ramp_inputs(8))
         path = tmp_path / "table.csv"
-        fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, workers=2, chunk_size=100,
-            error_dump=path)
+        with chunk_size(100):
+            fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, workers=2, error_dump=path)
         table = train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2)
         lines = ["candidate_index," + ",".join(f"param_{f + 1}" for f in range(6))
                  + ",train_error"]

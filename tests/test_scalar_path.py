@@ -160,10 +160,9 @@ class TestStepFunctionsMatchNumpy:
         coeffs = data.draw(vectors(n * n * n_y, FLOATS)).reshape(n * n, n_y)
         values = data.draw(vectors(n_y, FLOATS))
         alpha = InfluenceMatrix(n=n, n_y=n_y, coeffs=coeffs)
-        y = InputVector(values=values, ownership=alternating_ownership(n_y, n))
         with np.errstate(all="ignore"):
             expected = ref_synthesize(coeffs, values, n)
-        got = assert_outcome(lambda: synthesize_payoff(alpha, y),
+        got = assert_outcome(lambda: synthesize_payoff(alpha, values),
                              ref_payoff_check(expected, False))
         if got is not None:
             assert not got.normalized

@@ -1,6 +1,7 @@
 """Tests for scenario construction and trajectory integration."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -8,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import duopoly_alpha, make_dataset, ramp_inputs, RECOVERY_TARGET
-from marketdyn.dynamics import SIMPLEX_TOL, SharesState, replicator_rates
+from marketdyn.dataset import MarketDataset
+from marketdyn.dynamics import SIMPLEX_TOL, SharesState, mixed_equilibrium, replicator_rates
 from marketdyn.errors import DataError
-from marketdyn.influence import InfluenceMatrix, InputVector
+from marketdyn.influence import InfluenceMatrix, InputVector, normalize_payoff, synthesize_payoff
 from marketdyn.simulate import (
-    CONSTANT_INPUTS,
-    CUSTOM_INPUTS,
-    OBSERVED_INPUTS,
     ScenarioSpec,
     advance_shares,
     constant_scenario,
@@ -22,7 +21,6 @@ from marketdyn.simulate import (
     observed_scenario,
     run,
     step,
-    target_equilibrium,
     write_trajectory_csv,
 )
 
@@ -39,25 +37,20 @@ def wrap_inputs(rows):
 
 
 class TestScenarioSpec:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="scenario kind"):
-            ScenarioSpec(kind="sideways", inputs=wrap_inputs(ramp_inputs(3)),
-                         initial=SharesState(np.array([0.5, 0.5])), horizon=2)
-
     def test_rejects_zero_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
-            ScenarioSpec(kind=CUSTOM_INPUTS, inputs=wrap_inputs(ramp_inputs(3)),
+            ScenarioSpec(inputs=ramp_inputs(3),
                          initial=SharesState(np.array([0.5, 0.5])), horizon=0)
 
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError, match="dt"):
-            ScenarioSpec(kind=CUSTOM_INPUTS, inputs=wrap_inputs(ramp_inputs(3)),
+            ScenarioSpec(inputs=ramp_inputs(3),
                          initial=SharesState(np.array([0.5, 0.5])), horizon=2, dt=0.0)
 
     @pytest.mark.parametrize("dt", [float("inf"), float("nan")])
     def test_rejects_non_finite_dt(self, dt):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
-            ScenarioSpec(kind=CUSTOM_INPUTS, inputs=wrap_inputs(ramp_inputs(3)),
+            ScenarioSpec(inputs=ramp_inputs(3),
                          initial=SharesState(np.array([0.5, 0.5])), horizon=2, dt=dt)
 
 
@@ -90,7 +83,7 @@ class TestAdvanceShares:
 class TestStep:
     def test_matches_manual_composition(self):
         alpha = duopoly_alpha(RECOVERY_TARGET)
-        y = InputVector(values=np.array([0.2, 0.8, 0.5, 0.1]), ownership=OWNERSHIP)
+        y = np.array([0.2, 0.8, 0.5, 0.1])
         state = SharesState(np.array([0.4, 0.6]))
         nxt, payoff, rates = step(state, y, alpha, dt=1.0)
         assert payoff.normalized
@@ -101,7 +94,7 @@ class TestStep:
 
     def test_rejects_bad_dt(self):
         alpha = duopoly_alpha(RECOVERY_TARGET)
-        y = InputVector(values=np.ones(4), ownership=OWNERSHIP)
+        y = np.ones(4)
         with pytest.raises(ValueError, match="dt"):
             step(SharesState(np.array([0.5, 0.5])), y, alpha, dt=-1.0)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
@@ -128,11 +121,9 @@ class TestRun:
             assert np.array_equal(stepped.shares, traj.states[t + 1].shares)
 
     def test_missing_input_sample_raises(self):
-        alpha = duopoly_alpha(RECOVERY_TARGET)
-        spec = custom_scenario(wrap_inputs(ramp_inputs(4)),
-                               SharesState(np.array([0.3, 0.7])), horizon=7)
         with pytest.raises(DataError, match="no input sample for step 4"):
-            run(spec, alpha)
+            custom_scenario(wrap_inputs(ramp_inputs(4)),
+                            SharesState(np.array([0.3, 0.7])), horizon=7)
 
     def test_repeated_runs_are_bitwise_identical(self):
         alpha = duopoly_alpha((2, -1, 1, 3, 2, 0))
@@ -185,23 +176,78 @@ class TestRunProperties:
             assert np.array_equal(pa.entries, pb.entries)
 
 
+def raised(build):
+    """(type, message) of the exception ``build()`` raises."""
+    with pytest.raises(Exception) as info:
+        build()
+    return info.type, str(info.value)
+
+
+HALF = SharesState(np.array([0.5, 0.5]))
+
+
+class TestInputTable:
+    """A scenario's inputs are one table, validated when the spec is built
+    with the checks that InputVector made per row and run made per step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 3), n_y=st.integers(1, 4),
+           rows=st.integers(2, 12), dt=st.floats(0.0, 1.0, exclude_min=True))
+    def test_run_records_the_states_of_iterated_steps(self, data, n, n_y, rows, dt):
+        values = st.floats(-5.0, 5.0)
+        coeffs = data.draw(st.lists(values, min_size=n * n * n_y, max_size=n * n * n_y))
+        alpha = InfluenceMatrix(n=n, n_y=n_y, coeffs=np.array(coeffs).reshape(n * n, n_y))
+        inputs = np.array(data.draw(st.lists(st.lists(values, min_size=n_y, max_size=n_y),
+                                             min_size=rows, max_size=rows)))
+        weights = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+        dataset = MarketDataset(labels=tuple(f"t{k:02d}" for k in range(rows)),
+                                shares=(SharesState(weights / weights.sum()),) * rows,
+                                inputs=inputs, ownership=tuple(m % n for m in range(n_y)))
+        trajectory = run(observed_scenario(dataset, dt), alpha)
+        x = dataset.shares[0]
+        for t in range(rows - 1):
+            x = step(x, dataset.inputs[t], alpha, dt)[0]
+            assert x.shares.tobytes() == trajectory.states[t + 1].shares.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_y=st.integers(1, 4), rows=st.integers(2, 12),
+           cell=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_cell_fails_as_its_input_vector_did(self, data, n_y, rows, cell):
+        table = ramp_inputs(rows, n_y)
+        t = data.draw(st.integers(0, rows - 1))
+        table[t, data.draw(st.integers(0, n_y - 1))] = cell
+        ownership = tuple(m % 2 for m in range(n_y))
+        expected = raised(lambda: InputVector(values=table[t], ownership=ownership))
+        assert raised(lambda: ScenarioSpec(inputs=table, initial=HALF, horizon=rows - 1)) == expected
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 0), (5, 2, 2)])
+    def test_table_of_wrong_shape_fails_as_its_rows_did(self, shape):
+        table = np.full(shape, 0.5)
+        expected = raised(lambda: InputVector(values=table[0], ownership=(0,)))
+        assert raised(lambda: ScenarioSpec(inputs=table, initial=HALF, horizon=4)) == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(rows=st.integers(1, 12), missing=st.integers(1, 5))
+    def test_too_few_rows_fail_as_run_did(self, rows, missing):
+        got = raised(lambda: ScenarioSpec(inputs=ramp_inputs(rows), initial=HALF,
+                                          horizon=rows - 1 + missing))
+        assert got == (DataError, f"no input sample for step {rows}")
+
+
 class TestScenarioBuilders:
     def test_observed_replays_dataset(self):
         dataset = small_dataset()
         spec = observed_scenario(dataset)
-        assert spec.kind == OBSERVED_INPUTS
         assert spec.horizon == len(dataset) - 1
         assert np.array_equal(spec.initial.shares, dataset.shares[0].shares)
-        for t, y in enumerate(spec.inputs):
-            assert np.array_equal(y.values, dataset.inputs[t])
+        assert np.array_equal(spec.inputs, dataset.inputs)
 
     def test_constant_pins_first_input(self):
         dataset = small_dataset()
         spec = constant_scenario(dataset)
-        assert spec.kind == CONSTANT_INPUTS
         assert len(spec.inputs) == len(dataset)
         for y in spec.inputs:
-            assert np.array_equal(y.values, dataset.inputs[0])
+            assert np.array_equal(y, dataset.inputs[0])
 
     def test_constant_horizon_override(self):
         spec = constant_scenario(small_dataset(), horizon=40)
@@ -211,15 +257,20 @@ class TestScenarioBuilders:
     def test_custom_defaults_to_full_series(self):
         inputs = wrap_inputs(ramp_inputs(6))
         spec = custom_scenario(inputs, SharesState(np.array([0.5, 0.5])))
-        assert spec.kind == CUSTOM_INPUTS
         assert spec.horizon == 5
+        assert np.array_equal(spec.inputs, ramp_inputs(6))
+
+
+def target_equilibrium(alpha, y):
+    """The interior point the dynamics chase while the inputs stay at y, as
+    the equilibria command derives it."""
+    return mixed_equilibrium(normalize_payoff(synthesize_payoff(alpha, y)))
 
 
 class TestTargetEquilibrium:
     def test_symmetric_inputs_give_even_split(self):
         alpha = duopoly_alpha((1, 2, 3, 4, 5, 6))
-        y = InputVector(values=np.ones(4), ownership=OWNERSHIP)
-        point = target_equilibrium(alpha, y)
+        point = target_equilibrium(alpha, np.ones(4))
         assert point is not None
         assert point.shares[0] == pytest.approx(0.5, rel=1e-15)
 
@@ -231,8 +282,7 @@ class TestTargetEquilibrium:
             [0.0, 0.0, 0.0, 0.0],
         ])
         alpha = InfluenceMatrix(n=2, n_y=4, coeffs=coeffs)
-        y = InputVector(values=np.ones(4), ownership=OWNERSHIP)
-        assert target_equilibrium(alpha, y) is None
+        assert target_equilibrium(alpha, np.ones(4)) is None
 
 
 class TestTrajectoryCsv:
