@@ -50,7 +50,8 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
                         help="constraint mode: full (swap symmetry plus zero mask), "
                              "cross (cross-entry equalities only), none")
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel evaluation threads (result is identical)")
+                        help="parallel search workers: threads for a pruned fit, fork "
+                             "processes for --dump-candidates (result is identical)")
     parser.add_argument("--dump-candidates", default=None, metavar="PATH",
                         help="write per-candidate training errors as CSV")
 

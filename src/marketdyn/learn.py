@@ -27,6 +27,15 @@ in full, and so does fit when the inputs are large enough for the payoff
 arithmetic to overflow. A non-finite error is never pruned and raises
 DataError.
 
+With more than one worker and more than one chunk, a pruned search runs on
+threads, which share the running minimum as their bound. An every-error
+search shares nothing, so it runs in fork worker processes, where the dump
+text is formatted too; it stays on threads where fork is missing or other
+threads are running. Each chunk is
+reduced where it was scored, and the reductions and the dump text are
+consumed in candidate order, so the result and every output byte are the
+same for any worker count.
+
 The kernel scores the training window only. The winner's validation error
 comes from the reference simulator's step, simulate.step, iterated from the
 first observed shares over the input rows that lead to the holdout states;
@@ -35,15 +44,18 @@ the last row drives no state, so it is not read.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
+import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -358,63 +370,184 @@ class _RunningMin:
                 self.value = value
 
 
-def _evaluate_chunks(problem, radius, total, chunk_size, workers, prune):
-    """Yield (lo, values, train errors) per chunk, in candidate order.
+_ERRORS, _TEXT = "errors", "text"  # what a chunk returns besides its reduction
+
+
+@dataclass(frozen=True)
+class _Search:
+    """Candidate ids [0, total) scored in chunks of chunk_size. ``rows`` is
+    what each chunk returns besides its reduction: None, _ERRORS (its
+    training errors) or _TEXT (its candidate dump lines)."""
+
+    problem: _Problem
+    radius: int
+    total: int
+    chunk_size: int
+    rows: Optional[str] = None
+
+
+class _Chunk(NamedTuple):
+    """One chunk's reduction: its lowest error (+inf when every candidate
+    was pruned), the id and free values of its first minimizer, and how
+    many of its candidates reach that error; plus the rows asked for."""
+
+    lo: int
+    error: float
+    index: int
+    values: tuple[int, ...]
+    ties: int
+    rows: object
+
+
+def _score_chunk(search: _Search, lo: int, bound: float = math.inf) -> _Chunk:
+    free_count = len(search.problem.orbits)
+    hi = min(lo + search.chunk_size, search.total)
+    values = _decode_values(lo, hi, search.radius, free_count)
+    train = _chunk_errors(search.problem, values, bound, first=lo)
+    best = int(np.argmin(train))
+    error = float(train[best])
+    rows = None
+    if search.rows == _ERRORS:
+        rows = train
+    elif search.rows == _TEXT:
+        rows = _dump_text(lo, values, train, search.radius)
+    return _Chunk(lo, error, lo + best, tuple(values[:, best].tolist()),
+                  int(np.count_nonzero(train == error)), rows)
+
+
+_worker_search: Optional[_Search] = None  # set in each fork worker
+
+
+def _start_worker(search: _Search) -> None:
+    global _worker_search
+    _worker_search = search
+
+
+def _worker_chunk(lo: int) -> _Chunk:
+    return _score_chunk(_worker_search, lo)
+
+
+def _evaluate_chunks(search: _Search, workers: int, prune: bool):
+    """Yield one _Chunk per chunk, in candidate order.
 
     With ``prune``, each chunk is bounded by the lowest error of the chunks
-    finished before it starts. That bound is at or above the true minimum,
-    so no minimizer is ever dropped, whatever the thread timing.
+    finished before it starts, shared between worker threads. That bound is
+    at or above the true minimum, so no minimizer is ever dropped, whatever
+    the thread timing. An every-error search shares nothing, so it runs in
+    fork worker processes, which inherit the search instead of unpickling
+    it; the dump text is formatted there, on every core. It stays on
+    threads where fork is missing or other threads are running. Either way
+    the chunks, and so the result, are the same as with one worker.
     """
-    free_count = len(problem.orbits)
+    starts = range(0, search.total, search.chunk_size)
+    workers = min(workers, len(starts))
     running = _RunningMin()
 
     def job(lo):
-        values = _decode_values(lo, min(lo + chunk_size, total), radius, free_count)
-        bound = running.value if prune else math.inf
-        train = _chunk_errors(problem, values, bound, first=lo)
-        running.lower(float(train.min()))
-        return lo, values, train
+        chunk = _score_chunk(search, lo, running.value if prune else math.inf)
+        running.lower(chunk.error)
+        return chunk
 
-    starts = range(0, total, chunk_size)
     if workers <= 1:
         for lo in starts:
             yield job(lo)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # fork copies only the calling thread, so a lock that another thread
+    # holds would stay held in the workers: fork a single-threaded process
+    # only.
+    if prune or not hasattr(os, "fork") or threading.active_count() > 1:
+        pool, task = ThreadPoolExecutor(max_workers=workers), job
+    else:
+        # Imported here: at module level they would add about 15 ms to
+        # every CLI start.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(search,),
+        )
+        task = _worker_chunk
+    with pool:
         # A bounded window of futures, consumed in submission order, keeps
         # finished chunks from piling up behind a slow consumer.
         pending = deque()
         try:
             for lo in starts:
-                pending.append(pool.submit(job, lo))
+                pending.append(pool.submit(task, lo))
                 if len(pending) >= 2 * workers:
                     yield pending.popleft().result()
             while pending:
                 yield pending.popleft().result()
+        except BrokenExecutor as exc:
+            raise ChildProcessError(
+                f"a search worker process died before returning its chunk ({exc}); "
+                "the search was abandoned"
+            ) from exc
         finally:
             for future in pending:
                 if not future.cancel():
                     future.exception()  # wait; the first failure is already raised
 
 
-def _write_dump_rows(dump_file, lo: int, values: np.ndarray, train: np.ndarray) -> None:
-    """One line per candidate: id, free values, training error at full
-    round-trip precision."""
-    line = "%d," * (values.shape[0] + 1) + "%.17g\n"
-    rows = zip(range(lo, lo + train.size), *values.tolist(), train.tolist())
-    dump_file.write("".join([line % row for row in rows]))
+# Entries per formatter table: at most the square root of the largest
+# search, so a table stays small next to the chunks it formats.
+_TABLE_LIMIT = math.isqrt(MAX_CANDIDATES)
 
 
-def _setup_search(dataset, grid, constraints, holdout_fraction, dt):
-    """The search problem and its candidate count, checked against
-    MAX_CANDIDATES."""
+@functools.lru_cache(maxsize=4)
+def _value_strings(radius: int, digits: int, prefix: str = "") -> list[str]:
+    """``prefix`` + "v,...," for every tuple of ``digits`` values in
+    [-radius, radius]; entry k is the tuple whose base-(2r+1) digits spell k."""
+    line = prefix + "%d," * digits
+    return [line % t for t in itertools.product(range(-radius, radius + 1), repeat=digits)]
+
+
+def _dump_text(lo: int, values: np.ndarray, train: np.ndarray, radius: int) -> str:
+    """Dump lines for the candidates lo, lo + 1, ... whose free values are
+    the columns of ``values``: id, free values, training error, each line
+    equal to ("%d," * (free + 1) + "%.17g\n") % row.
+
+    The free values come from two tables, indexed by the high free // 2
+    and the low remaining base-(2r+1) digits of the id. Each high entry
+    covers a run of consecutive ids and the low entries repeat in order, so
+    only the id and the error are formatted per line.
+    """
+    free_count, count = values.shape
+    errors = train.tolist()
+    high_digits = free_count // 2
+    # Consecutive ids that share their high digits. The high table has at
+    # most sqrt(total) entries; the low one can have more, at odd free counts.
+    block = (2 * radius + 1) ** (free_count - high_digits)
+    if block > _TABLE_LIMIT:
+        line = "%d," * (free_count + 1) + "%.17g\n"
+        rows = zip(range(lo, lo + count), *values.tolist(), errors)
+        return "".join([line % row for row in rows])
+    low = _value_strings(radius, free_count - high_digits)
+    high = _value_strings(radius, high_digits, ",")  # with the comma after the id
+    hi = lo + count
+    high_column = []
+    for h in range(lo // block, (hi - 1) // block + 1):
+        high_column += [high[h]] * (min(hi, (h + 1) * block) - max(lo, h * block))
+    start = lo % block
+    parts = [None] * (4 * count)
+    parts[0::4] = map(str, range(lo, hi))
+    parts[1::4] = high_column
+    parts[2::4] = (low * (count // block + 2))[start:start + count]
+    parts[3::4] = map("%.17g\n".__mod__, errors)
+    return "".join(parts)
+
+
+def _setup_search(dataset, grid, constraints, holdout_fraction, dt, rows=None) -> _Search:
+    """The search over the problem's grid, its candidate count checked
+    against MAX_CANDIDATES."""
     problem = _build_problem(dataset, constraints, holdout_fraction, dt)
     total = grid.candidate_count(len(problem.orbits))
     if total > MAX_CANDIDATES:
         raise ConfigError(
             f"search space of {total} candidates exceeds the supported maximum {MAX_CANDIDATES}"
         )
-    return problem, total
+    return _Search(problem, grid.radius, total, _CHUNK_SIZE, rows)
 
 
 def train_error_table(
@@ -429,12 +562,10 @@ def train_error_table(
     """Training error of every candidate, indexed by lexicographic rank of
     its free-value tuple. Intended for audits and small radii; memory grows
     with the full candidate count."""
-    problem, total = _setup_search(dataset, grid, constraints, holdout_fraction, dt)
-    table = np.empty(total)
-    for lo, _, train in _evaluate_chunks(
-        problem, grid.radius, total, _CHUNK_SIZE, workers, prune=False
-    ):
-        table[lo:lo + train.size] = train
+    search = _setup_search(dataset, grid, constraints, holdout_fraction, dt, _ERRORS)
+    table = np.empty(search.total)
+    for chunk in _evaluate_chunks(search, workers, prune=False):
+        table[chunk.lo:chunk.lo + chunk.rows.size] = chunk.rows
     return table
 
 
@@ -448,8 +579,9 @@ def _fit_common(
     error_dump,
 ) -> FitReport:
     started = time.perf_counter()
-    problem, total = _setup_search(dataset, grid, constraints, holdout_fraction, dt)
-    free_count = len(problem.orbits)
+    search = _setup_search(dataset, grid, constraints, holdout_fraction, dt,
+                           None if error_dump is None else _TEXT)
+    problem = search.problem
     # Only a dump-free search prunes, since the dump needs every error. Nor
     # does a search whose payoffs could overflow, where pruning could drop a
     # candidate before its error turns non-finite: a raw payoff range is at
@@ -462,7 +594,7 @@ def _fit_common(
     if error_dump is not None:
         dump_file = open(error_dump, "w", encoding="utf-8", newline="\n")
         header = ["candidate_index"]
-        header += [f"param_{f + 1}" for f in range(free_count)]
+        header += [f"param_{f + 1}" for f in range(len(problem.orbits))]
         header += ["train_error"]
         dump_file.write(",".join(header) + "\n")
 
@@ -471,22 +603,18 @@ def _fit_common(
     best_values: Optional[tuple[int, ...]] = None
     tie_count = 0
     try:
-        for lo, values, train in _evaluate_chunks(
-            problem, grid.radius, total, _CHUNK_SIZE, workers, prune
-        ):
+        for chunk in _evaluate_chunks(search, workers, prune):
             if dump_file is not None:
-                _write_dump_rows(dump_file, lo, values, train)
-            chunk_best = int(np.argmin(train))
-            chunk_err = float(train[chunk_best])
-            if chunk_err == math.inf:
+                dump_file.write(chunk.rows)
+            if chunk.error == math.inf:
                 continue  # every candidate of the chunk was pruned
-            if chunk_err < best_err:
-                best_err = chunk_err
-                best_index = lo + chunk_best
-                best_values = tuple(values[:, chunk_best].tolist())
-                tie_count = int(np.count_nonzero(train == chunk_err))
-            elif chunk_err == best_err:
-                tie_count += int(np.count_nonzero(train == chunk_err))
+            if chunk.error < best_err:
+                best_err = chunk.error
+                best_index = chunk.index
+                best_values = chunk.values
+                tie_count = chunk.ties
+            elif chunk.error == best_err:
+                tie_count += chunk.ties
     finally:
         if dump_file is not None:
             dump_file.close()
@@ -518,7 +646,7 @@ def _fit_common(
         train_error=best_err,
         validation_error=float(validation_error),
         tie_class_size=tie_count,
-        candidates_evaluated=total,
+        candidates_evaluated=search.total,
         radius=grid.radius,
         train_len=problem.train_len,
         validation_len=problem.total_len - problem.train_len,

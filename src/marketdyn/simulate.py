@@ -122,20 +122,35 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
     """Iterate the step over the whole horizon.
 
     Records horizon+1 states; the payoff and rates stored at the final time
-    describe where the system would head next but are not stepped.
+    describe where the system would head next but are not stepped. A step
+    whose payoffs or shares come out non-finite, or whose shares collapse,
+    raises DataError naming the step.
     """
+    if spec.inputs.shape[1] != alpha.n_y or spec.initial.n != alpha.n:
+        raise ValueError(
+            f"dimension mismatch: coefficients expect {alpha.n_y} inputs and {alpha.n} "
+            f"strategies, scenario has {spec.inputs.shape[1]} and {spec.initial.n}"
+        )
     states = [spec.initial]
     payoffs = []
     rates = []
     x = spec.initial
-    for t in range(spec.horizon + 1):
-        payoff = normalize_payoff(synthesize_payoff(alpha, spec.inputs[t]))
-        r = replicator_rates(payoff, x)
-        payoffs.append(payoff)
-        rates.append(r)
-        if t < spec.horizon:
-            x = advance_shares(x, r, spec.dt)
-            states.append(x)
+    try:
+        for t in range(spec.horizon + 1):
+            payoff = normalize_payoff(synthesize_payoff(alpha, spec.inputs[t]))
+            r = replicator_rates(payoff, x)
+            payoffs.append(payoff)
+            rates.append(r)
+            if t < spec.horizon:
+                x = advance_shares(x, r, spec.dt)
+                states.append(x)
+    except (ValueError, ArithmeticError) as exc:
+        # The shapes are checked above, so what fails here is the
+        # arithmetic on this step's inputs.
+        raise DataError(
+            f"step {t}: {exc}; the inputs may be too large for the payoff "
+            "arithmetic (normalize the inputs)"
+        ) from exc
     return Trajectory(
         times=tuple(range(spec.horizon + 1)),
         states=tuple(states),

@@ -1,19 +1,22 @@
-"""End-to-end command-line tests driven through subprocesses."""
+"""End-to-end command-line tests, driven through subprocesses; the one test
+that patches the search kernel runs `cli.main` in-process instead."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import make_dataset, ramp_inputs
+from conftest import duopoly_alpha, make_dataset, ramp_inputs
 from marketdyn.dataset import MarketDataset, save_csv
 from marketdyn.dynamics import SharesState
-from marketdyn.influence import InputVector
+from marketdyn.influence import InputVector, save_alpha
 from marketdyn.simulate import custom_scenario, run
 
 PLANTED = (1, 0, -1, 1, 0, 1)
+WIGGLY = (0.3, 0.42, 0.37, 0.55, 0.61, 0.5, 0.66, 0.7)
 
 
 def run_cli(*args):
@@ -31,8 +34,6 @@ def planted_csv(tmp_path_factory):
     window, so the CLI's default input scaling is the identity map and the
     planted tuple stays recoverable.
     """
-    from conftest import duopoly_alpha
-
     inputs = ramp_inputs(10)
     wrapped = tuple(InputVector(values=row, ownership=(0, 1, 0, 1)) for row in inputs)
     traj = run(custom_scenario(wrapped, SharesState(np.array([0.35, 0.65]))),
@@ -77,6 +78,48 @@ class TestFitCommand:
         lines = dump.read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 730
         assert lines[0].startswith("candidate_index,param_1")
+
+    def test_dump_bytes_match_across_worker_counts_for_odd_free_count(self, tmp_path):
+        """Cross-pair constraints on two inputs leave 5 free values; at
+        radius 4 the 59,049 candidates span four chunks, so two workers fork."""
+        data = tmp_path / "two_inputs.csv"
+        save_csv(make_dataset(WIGGLY * 2, ramp_inputs(16, n_y=2)), data)
+        dumps = []
+        for workers in (1, 2):
+            dump = tmp_path / f"errors_w{workers}.csv"
+            proc = run_cli("fit", "--data", data, "--r", 4, "--constraints", "cross",
+                           "--workers", workers, "--dump-candidates", dump,
+                           "--out", tmp_path / f"r{workers}.json")
+            assert proc.returncode == 0, proc.stderr
+            dumps.append(dump.read_bytes())
+        lines = dumps[0].decode("utf-8").splitlines()
+        assert len(lines) == 1 + 9**5
+        assert lines[1].startswith("0,-4,-4,-4,-4,-4,")
+        assert lines[-1].startswith("59048,4,4,4,4,4,")
+        assert dumps[0] == dumps[1]
+        assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+    def test_dead_search_worker_is_named_without_traceback(self, planted_csv, tmp_path,
+                                                            monkeypatch, capsys):
+        """Run in-process, so that the kernel is patched before the fork."""
+        from marketdyn import cli, learn
+
+        parent = os.getpid()
+
+        def die(*args, **kwargs):
+            assert os.getpid() != parent, "the search ran in the test process"
+            os._exit(1)
+
+        monkeypatch.setattr(learn, "_chunk_errors", die)
+        monkeypatch.setattr(learn, "_CHUNK_SIZE", 100)
+        rc = cli.main(["fit", "--data", str(planted_csv), "--r", "1", "--workers", "2",
+                       "--dump-candidates", str(tmp_path / "errors.csv"),
+                       "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc in (2, 3, 4)
+        assert "a search worker process died" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_auto_radius_escalation(self, planted_csv, tmp_path):
         out = tmp_path / "report.json"
@@ -174,6 +217,20 @@ class TestSimulateCommand:
                        "--out", tmp_path / "traj.csv")
         assert proc.returncode == 3
         assert "data error: line 5: values must be finite, got 'nan'" in proc.stderr
+
+    def test_overflowing_payoffs_are_data_error_naming_the_step(self, tmp_path):
+        """The overflow that fit reports as exit 3 is exit 3 here too."""
+        data = tmp_path / "huge.csv"
+        save_csv(make_dataset([0.4 + 0.01 * k for k in range(10)],
+                              ramp_inputs(10) * 1e308), data)
+        alpha = tmp_path / "alpha.json"
+        save_alpha(duopoly_alpha(PLANTED), (0, 1, 0, 1), alpha)
+        out = tmp_path / "traj.csv"
+        proc = run_cli("simulate", "--data", data, "--alpha", alpha, "--no-normalize-inputs",
+                       "--out", out)
+        assert proc.returncode == 3
+        assert "data error: step 8: payoff entries must be finite" in proc.stderr
+        assert not out.exists()
 
     def test_non_finite_dt_is_config_error(self, planted_csv, fit_report, tmp_path):
         proc = run_cli("simulate", "--data", planted_csv, "--alpha", fit_report,

@@ -3,8 +3,11 @@
 import contextlib
 import json
 import math
+import re
 import sys
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -55,6 +58,19 @@ def chunk_size(size):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(learn, "_CHUNK_SIZE", size)
         yield
+
+
+def count_submissions(monkeypatch):
+    """List that records (executor class name, chunk start) for every chunk
+    submitted to a thread or process pool, in submission order."""
+    submitted = []
+    for pool in (ThreadPoolExecutor, ProcessPoolExecutor):
+        def counting(self, fn, lo, submit=pool.submit):
+            submitted.append((type(self).__name__, lo))
+            return submit(self, fn, lo)
+
+        monkeypatch.setattr(pool, "submit", counting)
+    return submitted
 
 
 def decode(rank, radius, free_count=6):
@@ -242,6 +258,29 @@ class TestNonFiniteErrors:
                                               match=r"candidate \d+ has a non-finite error"):
             fit(overflowing_dataset(), GridSpec(1), DUOPOLY_SPEC, 0.2, workers=workers)
 
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_worker_processes_name_the_same_candidate(self, chunk, tmp_path):
+        """Every-error searches on two workers run in fork processes; the
+        error they raise names the candidate that one worker names."""
+        dataset = overflowing_dataset()
+
+        def message(search, workers):
+            with chunk_size(chunk), pytest.raises(DataError) as info:
+                search(workers)
+            return str(info.value)
+
+        def table(workers):
+            train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, workers=workers)
+
+        def dumped_fit(workers):
+            fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, workers=workers,
+                error_dump=tmp_path / "errors.csv")
+
+        for search in (table, dumped_fit):
+            expected = message(search, 1)
+            assert re.match(r"candidate \d+ has a non-finite error", expected)
+            assert message(search, 2) == expected
+
     def test_fit_agrees_with_table_when_late_overflow_could_be_pruned(self):
         """Every input is near the float maximum, so some candidates overflow
         only after a pruning search would have dropped them."""
@@ -300,22 +339,41 @@ class TestPruning:
         assert report.best_values == decode(int(np.argmin(table)), 1)
 
     def test_chunks_in_flight_are_bounded(self, monkeypatch):
-        started = []
-        kernel = learn._chunk_errors
-
-        def counting(*args, **kwargs):
-            started.append(kwargs["first"])
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(learn, "_chunk_errors", counting)
+        """Counted in the parent, since a process worker's kernel calls are
+        out of sight: behind a slow consumer at most 2 x workers chunks are
+        submitted and not yet consumed, on threads (pruned) and on fork
+        processes (every error) alike."""
+        submitted = count_submissions(monkeypatch)
         problem = learn._build_problem(planted_dataset(), DUOPOLY_SPEC, 0.2, 1.0)
-        chunks = learn._evaluate_chunks(problem, 1, 729, 7, 2, prune=False)
-        first = next(chunks)
-        time.sleep(0.2)  # a consumer slower than the workers
-        assert len(started) <= 4
-        rest = list(chunks)
-        assert [first[0]] + [lo for lo, _, _ in rest] == list(range(0, 729, 7))
-        assert sorted(started) == list(range(0, 729, 7))
+        for prune, executor in ((True, "ThreadPoolExecutor"), (False, "ProcessPoolExecutor")):
+            submitted.clear()
+            consumed = []
+            for chunk in learn._evaluate_chunks(learn._Search(problem, 1, 729, 7), 2, prune):
+                assert len(submitted) - len(consumed) <= 4
+                consumed.append(chunk.lo)
+                if len(consumed) == 1:
+                    time.sleep(0.2)  # a consumer slower than the workers
+                    assert len(submitted) <= 4
+            assert consumed == list(range(0, 729, 7))
+            assert submitted == [(executor, lo) for lo in range(0, 729, 7)]
+
+
+    def test_every_error_search_forks_only_a_single_threaded_process(self, monkeypatch):
+        submitted = count_submissions(monkeypatch)
+        dataset = planted_dataset()
+        expected = train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            with chunk_size(100):
+                table = train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, workers=2)
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert {pool for pool, _ in submitted} == {"ThreadPoolExecutor"}
+        assert np.array_equal(table, expected)
 
 
 class TestKernelProperties:
@@ -431,6 +489,33 @@ class TestErrorDump:
             cells += [format(float(err), ".17g")]
             lines.append(",".join(cells))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestDumpText:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), radius=st.integers(0, 3), free_count=st.integers(0, 8),
+           table_limit=st.sampled_from([learn._TABLE_LIMIT, 1]))
+    def test_equals_per_row_formatting(self, data, radius, free_count, table_limit):
+        """Ranges that start and end on either side of a block of ids that
+        share their high digits, errors from zero through subnormals to
+        inf; with a table limit of 1 the rows are formatted one by one."""
+        base = 2 * radius + 1
+        total = base**free_count
+        block = base ** (free_count - free_count // 2)
+        count = data.draw(st.integers(1, min(total, 2 * block + 3, 600)))
+        edge = block * data.draw(st.integers(0, total // block))
+        lo = min(max(edge - data.draw(st.integers(0, count)), 0), total - count)
+        errors = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e300, math.inf]),
+                      st.floats(0.0, allow_infinity=True)),
+            min_size=count, max_size=count)))
+        values = learn._decode_values(lo, lo + count, radius, free_count)
+        line = "%d," * (free_count + 1) + "%.17g\n"
+        expected = "".join(line % (lo + k, *values[:, k].tolist(), errors[k])
+                           for k in range(count))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(learn, "_TABLE_LIMIT", table_limit)
+            assert learn._dump_text(lo, values, errors, radius) == expected
 
 
 class TestFitEscalating:

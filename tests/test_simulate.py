@@ -125,6 +125,19 @@ class TestRun:
             custom_scenario(wrap_inputs(ramp_inputs(4)),
                             SharesState(np.array([0.3, 0.7])), horizon=7)
 
+    def test_dimension_mismatch_stays_a_value_error(self):
+        rows = [InputVector(values=row, ownership=(0, 1)) for row in ramp_inputs(5, n_y=2)]
+        spec = custom_scenario(rows, SharesState(np.array([0.3, 0.7])))
+        with pytest.raises(ValueError, match="coefficients expect 4 inputs"):
+            run(spec, duopoly_alpha(RECOVERY_TARGET))
+
+    def test_overflowing_step_is_a_data_error_naming_it(self):
+        inputs = ramp_inputs(6)
+        inputs[3:] *= 1e308
+        spec = custom_scenario(wrap_inputs(inputs), SharesState(np.array([0.3, 0.7])))
+        with pytest.raises(DataError, match="step 3: payoff entries must be finite"):
+            run(spec, duopoly_alpha(RECOVERY_TARGET))
+
     def test_repeated_runs_are_bitwise_identical(self):
         alpha = duopoly_alpha((2, -1, 1, 3, 2, 0))
         spec = custom_scenario(wrap_inputs(ramp_inputs(20)),
