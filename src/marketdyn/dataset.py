@@ -82,7 +82,7 @@ class MarketDataset:
         return self.inputs.shape[1]
 
     def share_series(self, strategy: int = 0) -> np.ndarray:
-        return np.array([s.shares[strategy] for s in self.shares])
+        return np.array([s.floats[strategy] for s in self.shares])
 
     def with_inputs(self, inputs: np.ndarray) -> "MarketDataset":
         return MarketDataset(
@@ -251,7 +251,7 @@ def _dataset_from_table(provenance, header_no, header, rows, ownership) -> Marke
         if any(s < 0.0 for s in raw_shares):
             raise DataError(f"line {line_no}: negative share")
         labels.append(label)
-        share_rows.append(SharesState([s / total for s in raw_shares]))
+        share_rows.append(SharesState._of_floats([s / total for s in raw_shares]))
         input_rows.append(values[n:])
 
     if len(labels) < 2:
@@ -278,7 +278,7 @@ def save_csv(dataset: MarketDataset, target) -> None:
     lines.append(",".join(header))
     for t in range(len(dataset)):
         row = [dataset.labels[t]]
-        row += [repr(float(v)) for v in dataset.shares[t].shares]
+        row += [repr(v) for v in dataset.shares[t].floats]
         row += [repr(float(v)) for v in dataset.inputs[t]]
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"

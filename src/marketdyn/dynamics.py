@@ -2,12 +2,18 @@
 
 Share growth rates, interior equilibria of the two-strategy system, and
 their stability in closed form.
+
+PayoffMatrix and SharesState hold their validated values as tuples of
+Python floats, which the step helpers compute on. Each builds its read-only
+numpy array only when ``entries`` or ``shares`` is first read, so a
+simulation that only steps builds none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -30,59 +36,104 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PayoffMatrix:
     """Square payoff matrix; entry (i, j) is what strategy i earns against
-    strategy j. ``normalized`` asserts all entries lie in [0, 1]."""
+    strategy j. ``normalized`` asserts all entries lie in [0, 1].
 
-    entries: np.ndarray
+    The validated entries are held as ``floats``, a row-major tuple of
+    Python floats, which the step helpers read. ``entries`` is the read-only
+    (n, n) array, built on first read and kept."""
+
+    floats: tuple[float, ...]
+    n: int
     normalized: bool = False
 
-    def __post_init__(self):
-        a = _readonly(self.entries)
+    def __init__(self, entries, normalized: bool = False):
+        a = _readonly(entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"payoff matrix must be square, got shape {a.shape}")
         if a.shape[0] < 2:
             raise ValueError("payoff matrix needs at least 2 strategies")
-        # Checks on Python floats: numpy reductions cost more than the
-        # arithmetic on matrices this small.
-        flat = a.ravel().tolist()
+        self._hold(tuple(a.ravel().tolist()), a.shape[0], normalized)
+        self.__dict__["entries"] = a  # the array cached_property would build
+
+    @classmethod
+    def _of_floats(cls, flat: list[float], n: int, normalized: bool) -> "PayoffMatrix":
+        """The matrix of n*n row-major Python floats, checked as the
+        constructor checks them; no array is built."""
+        if n < 2:  # raises the constructor's shape error
+            return cls([flat[i * n:(i + 1) * n] for i in range(n)], normalized)
+        payoff = object.__new__(cls)
+        payoff._hold(tuple(flat), n, normalized)
+        return payoff
+
+    def _hold(self, flat: tuple[float, ...], n: int, normalized: bool) -> None:
         if not all(map(math.isfinite, flat)):
             raise ValueError("payoff entries must be finite")
-        if self.normalized and (min(flat) < 0.0 or max(flat) > 1.0):
+        if normalized and (min(flat) < 0.0 or max(flat) > 1.0):
             raise ValueError("normalized payoff entries must lie in [0, 1]")
-        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "floats", flat)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "normalized", normalized)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return _readonly(self.floats).reshape(self.n, self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SharesState:
-    """Point on the n-simplex: one market-share fraction per strategy."""
+    """Point on the n-simplex: one market-share fraction per strategy.
 
-    shares: np.ndarray
+    The validated shares are held as ``floats``, a tuple of Python floats,
+    which the step helpers read. ``shares`` is the read-only array, built on
+    first read and kept."""
 
-    def __post_init__(self):
-        x = _readonly(self.shares)
+    floats: tuple[float, ...]
+
+    def __init__(self, shares):
+        x = _readonly(shares)
         if x.ndim != 1 or x.size < 2:
             raise ValueError(f"shares must be a vector of length >= 2, got shape {x.shape}")
-        values = x.tolist()
+        self._hold(tuple(x.tolist()))
+        self.__dict__["shares"] = x  # the array cached_property would build
+
+    @classmethod
+    def _of_floats(cls, values: list[float]) -> "SharesState":
+        """The state of a list of Python floats, checked as the constructor
+        checks them; no array is built."""
+        if len(values) < 2:  # raises the constructor's shape error
+            return cls(values)
+        state = object.__new__(cls)
+        state._hold(tuple(values))
+        return state
+
+    def _hold(self, values: tuple[float, ...]) -> None:
         if not all(map(math.isfinite, values)):
             raise ValueError("shares must be finite")
         if min(values) < 0.0 or max(values) > 1.0:
             raise ValueError("each share must lie in [0, 1]")
-        # numpy's sum, not a Python one: from 8 entries on it adds pairwise
-        # and rounds differently, which can move a total across the tolerance.
-        total = float(x.sum())
+        # The total must be numpy's: from 8 entries on its pairwise sum keeps
+        # 8 partial sums, which round differently and can move a total across
+        # the tolerance. Below 8 it adds one by one from 0.0, as this loop does.
+        if len(values) < 8:
+            total = 0.0
+            for v in values:
+                total += v
+        else:
+            total = float(np.sum(values))
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"shares must sum to 1 within {SIMPLEX_TOL}, got {total!r}")
-        object.__setattr__(self, "shares", x)
+        object.__setattr__(self, "floats", values)
+
+    @cached_property
+    def shares(self) -> np.ndarray:
+        return _readonly(self.floats)
 
     @property
     def n(self) -> int:
-        return self.shares.size
+        return len(self.floats)
 
 
 @dataclass(frozen=True)
@@ -115,11 +166,13 @@ def replicator_rates(payoff: PayoffMatrix, state: SharesState) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: payoff has {payoff.n} strategies, state has {state.n}"
         )
-    x = state.shares.tolist()
+    x = state.floats
+    a = payoff.floats
+    n = payoff.n
     fitness = []
-    for row in payoff.entries.tolist():
+    for i in range(0, n * n, n):
         f = 0.0
-        for a_ij, x_j in zip(row, x):
+        for a_ij, x_j in zip(a[i:i + n], x):
             f += a_ij * x_j
         fitness.append(f)
     mean_fitness = 0.0

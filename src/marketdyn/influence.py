@@ -232,13 +232,16 @@ def constraint_check(
 class InfluenceMatrix:
     """Coefficient matrix mapping inputs to payoff entries, with its
     structural constraints attached. Construction validates the constraints
-    exactly; a violated mask or pairing raises immediately."""
+    exactly; a violated mask or pairing raises immediately. ``coeff_rows``
+    holds the rows of ``coeffs`` as tuples of Python floats, which
+    synthesize_payoff reads."""
 
     n: int
     n_y: int
     coeffs: np.ndarray
     zero_mask: frozenset[Position] = frozenset()
     symmetry_pairs: frozenset[Pair] = frozenset()
+    coeff_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = _readonly(self.coeffs)
@@ -263,6 +266,7 @@ class InfluenceMatrix:
         if not constraint_check(c, mask, pairs):
             raise ValueError("coefficients violate the attached constraints")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeff_rows", tuple(map(tuple, c.tolist())))
         object.__setattr__(self, "zero_mask", mask)
         object.__setattr__(self, "symmetry_pairs", pairs)
 
@@ -348,13 +352,12 @@ def synthesize_payoff(alpha: InfluenceMatrix, y) -> PayoffMatrix:
         )
     v = y.tolist()
     raw = []
-    for row in alpha.coeffs.tolist():
+    for row in alpha.coeff_rows:
         acc = 0.0
         for c_km, v_m in zip(row, v):
             acc += c_km * v_m
         raw.append(acc)
-    n = alpha.n
-    return PayoffMatrix([raw[i * n:(i + 1) * n] for i in range(n)], normalized=False)
+    return PayoffMatrix._of_floats(raw, alpha.n, normalized=False)
 
 
 def normalize_payoff(payoff: PayoffMatrix) -> PayoffMatrix:
@@ -363,22 +366,21 @@ def normalize_payoff(payoff: PayoffMatrix) -> PayoffMatrix:
     A matrix whose entries are all equal (range below 1e-12) maps to the
     uniform matrix of 0.5; every state is stationary under it.
     """
-    a = payoff.entries
-    flat = a.ravel().tolist()
+    flat = payoff.floats
     lo = min(flat)
     hi = max(flat)
     if lo == 0.0:
         # Of several equal zeros, Python's min keeps the first and numpy's
         # its own pick; the sign of lo shows in a - lo, so take numpy's.
         # Equal non-zero floats have the same bits.
-        lo = float(a.min())
+        lo = float(payoff.entries.min())
     n = payoff.n
     if hi - lo < DEGENERATE_RANGE:
         out = [0.5] * (n * n)
     else:
         span = hi - lo
         out = [(v - lo) / span for v in flat]
-    return PayoffMatrix([out[i * n:(i + 1) * n] for i in range(n)], normalized=True)
+    return PayoffMatrix._of_floats(out, n, normalized=True)
 
 
 def alpha_to_dict(alpha: InfluenceMatrix, ownership: tuple[int, ...]) -> dict:

@@ -44,6 +44,7 @@ the last row drives no state, so it is not read.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -569,6 +570,30 @@ def train_error_table(
     return table
 
 
+@contextlib.contextmanager
+def _replaced_on_success(path):
+    """A new text file beside ``path`` that replaces ``path`` when the block
+    completes. On any failure it is removed, so a file already at ``path``
+    keeps its bytes. With ``path`` None, yields None."""
+    if path is None:
+        yield None
+        return
+    target = Path(path)
+    # A random name opened exclusively, with the mode a plain open gives.
+    temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        out = open(temp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:  # named after the path the caller gave
+        raise OSError(exc.errno, exc.strerror, str(target)) from exc
+    try:
+        with out:
+            yield out
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _fit_common(
     dataset: MarketDataset,
     grid: GridSpec,
@@ -590,19 +615,18 @@ def _fit_common(
         reach = 4.0 * grid.radius * float(np.abs(problem.inputs).sum(axis=1).max())
     prune = error_dump is None and math.isfinite(reach)
 
-    dump_file = None
-    if error_dump is not None:
-        dump_file = open(error_dump, "w", encoding="utf-8", newline="\n")
-        header = ["candidate_index"]
-        header += [f"param_{f + 1}" for f in range(len(problem.orbits))]
-        header += ["train_error"]
-        dump_file.write(",".join(header) + "\n")
-
     best_err = math.inf
     best_index = -1
     best_values: Optional[tuple[int, ...]] = None
     tie_count = 0
-    try:
+    # The dump reaches error_dump only once the fit, validation included,
+    # has succeeded.
+    with _replaced_on_success(error_dump) as dump_file:
+        if dump_file is not None:
+            header = ["candidate_index"]
+            header += [f"param_{f + 1}" for f in range(len(problem.orbits))]
+            header += ["train_error"]
+            dump_file.write(",".join(header) + "\n")
         for chunk in _evaluate_chunks(search, workers, prune):
             if dump_file is not None:
                 dump_file.write(chunk.rows)
@@ -615,28 +639,25 @@ def _fit_common(
                 tie_count = chunk.ties
             elif chunk.error == best_err:
                 tie_count += chunk.ties
-    finally:
-        if dump_file is not None:
-            dump_file.close()
 
-    if best_values is None:
-        raise ConfigError("empty search space")
+        if best_values is None:
+            raise ConfigError("empty search space")
 
-    best_alpha = InfluenceMatrix.from_free_values(
-        problem.n, problem.n_y, problem.zero_mask, problem.symmetry_pairs, best_values
-    )
-    predicted = []
-    x = dataset.shares[0]
-    try:
-        # Overflow surfaces as a non-finite payoff or share, which raises.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for t in range(1, problem.total_len):
-                x = step(x, problem.inputs[t - 1], best_alpha, dt)[0]
-                if t >= problem.train_len:
-                    predicted.append(float(x.shares[0]))
-    except (ValueError, ArithmeticError) as exc:
-        raise _non_finite(best_index) from exc
-    validation_error = mse(predicted, problem.target[problem.train_len:])
+        best_alpha = InfluenceMatrix.from_free_values(
+            problem.n, problem.n_y, problem.zero_mask, problem.symmetry_pairs, best_values
+        )
+        predicted = []
+        x = dataset.shares[0]
+        try:
+            # Overflow surfaces as a non-finite payoff or share, which raises.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for t in range(1, problem.total_len):
+                    x = step(x, problem.inputs[t - 1], best_alpha, dt)[0]
+                    if t >= problem.train_len:
+                        predicted.append(x.floats[0])
+        except (ValueError, ArithmeticError) as exc:
+            raise _non_finite(best_index) from exc
+        validation_error = mse(predicted, problem.target[problem.train_len:])
 
     return FitReport(
         best_alpha=best_alpha,

@@ -11,8 +11,11 @@ InputVector appears only where a caller hands inputs in (custom_scenario).
 
 The step helpers compute on Python floats in the learn kernel's
 per-element order; on vectors of two to sixteen entries numpy's per-call
-cost exceeds the arithmetic. run calls each helper once per step through
-this module's attributes, which is where perfbench's traced run wraps them.
+cost exceeds the arithmetic. They read and build the floats that
+SharesState and PayoffMatrix hold, so a step builds no array but its rates,
+and the trajectory writer formats those floats directly. run calls each
+helper once per step through this module's attributes, which is where
+perfbench's traced run wraps them.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class Trajectory:
         return len(self.times)
 
     def share_series(self, strategy: int = 0) -> np.ndarray:
-        return np.array([s.shares[strategy] for s in self.states])
+        return np.array([s.floats[strategy] for s in self.states])
 
     @property
     def final(self) -> SharesState:
@@ -93,7 +96,7 @@ def advance_shares(state: SharesState, rates: np.ndarray, dt: float) -> SharesSt
     Computed per share on Python floats, in the learn kernel's order:
     x + dt * rate, clamped, then divided by the left-to-right total.
     """
-    x = state.shares.tolist()
+    x = state.floats
     r = rates.tolist()
     if len(r) != len(x):
         raise ValueError(f"dimension mismatch: {len(x)} shares, {len(r)} rates")
@@ -103,7 +106,7 @@ def advance_shares(state: SharesState, rates: np.ndarray, dt: float) -> SharesSt
         total += v
     if not total > 0.0:
         raise ArithmeticError("share update collapsed to the zero vector")
-    return SharesState([v / total for v in nxt])
+    return SharesState._of_floats([v / total for v in nxt])
 
 
 def step(
@@ -214,8 +217,8 @@ def write_trajectory_csv(trajectory: Trajectory, target) -> None:
     ):
         lines.append(row % (
             float(t * dt),
-            *state.shares.tolist(),
-            *payoff.entries.ravel().tolist(),
+            *state.floats,
+            *payoff.floats,
             *rates.tolist(),
         ))
     text = "\n".join(lines) + "\n"

@@ -184,6 +184,20 @@ class TestFitCommand:
         assert "non-finite error" in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
+    def test_failed_dumped_fit_keeps_the_earlier_dump(self, tmp_path):
+        inputs = ramp_inputs(8)
+        inputs[:5] *= 0.7e308
+        data = tmp_path / "huge.csv"
+        save_csv(make_dataset(WIGGLY, inputs), data)
+        dump = tmp_path / "errors.csv"
+        dump.write_bytes(b"an earlier dump\n")
+        proc = run_cli("fit", "--data", data, "--r", 1, "--no-normalize-inputs",
+                       "--dump-candidates", dump, "--out", tmp_path / "r.json")
+        assert proc.returncode == 3
+        assert "non-finite error" in proc.stderr
+        assert dump.read_bytes() == b"an earlier dump\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["errors.csv", "huge.csv"]
+
     def test_non_finite_error_target_is_config_error(self, planted_csv, tmp_path):
         proc = run_cli("fit", "--data", planted_csv, "--auto-r", "--error-target", "inf",
                        "--out", tmp_path / "r.json")

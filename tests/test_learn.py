@@ -490,6 +490,31 @@ class TestErrorDump:
             lines.append(",".join(cells))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
+    @pytest.mark.parametrize("workers, chunk", [(1, 16384), (2, 100)])
+    @pytest.mark.parametrize("late", [False, True])
+    def test_failed_fit_leaves_the_dump_path_as_it_was(self, tmp_path, workers, chunk, late):
+        """The search overflows on one dataset, only the validation pass on
+        the other; neither a partial dump nor a temporary file is left."""
+        inputs = ramp_inputs(8)
+        if late:
+            inputs[6:] *= 1e308  # read only after the 6-sample training window
+            dataset = make_dataset(WIGGLY, inputs)
+        else:
+            dataset = overflowing_dataset()
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"an earlier dump\n")
+        for path in (kept, tmp_path / "absent.csv"):
+            with chunk_size(chunk), pytest.raises(DataError, match="non-finite error"):
+                fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, workers=workers, error_dump=path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+        assert kept.read_bytes() == b"an earlier dump\n"
+
+    def test_missing_dump_directory_is_named(self, tmp_path):
+        path = tmp_path / "absent" / "table.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            fit(planted_dataset(), GridSpec(1), DUOPOLY_SPEC, 0.2, error_dump=path)
+        assert info.value.filename == str(path)
+
 
 class TestDumpText:
     @settings(max_examples=200, deadline=None)

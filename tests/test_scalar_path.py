@@ -6,14 +6,16 @@ numpy bodies of the same functions. Every result must match them bit for
 bit, and every rejection must carry the same message.
 """
 
+import copy
 import hashlib
 import io
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_GENERATOR, duopoly_alpha
@@ -289,6 +291,118 @@ class TestValidatorsMatchNumpy:
     def test_input_vector_shape(self, shape):
         v = np.full(shape, 0.5)
         assert_outcome(lambda: InputVector(values=v, ownership=(0,)), ref_input_check(v, (0,)))
+
+
+# --- value objects ------------------------------------------------------------
+
+
+class TestValueObjects:
+    """SharesState and PayoffMatrix hold Python floats and build their
+    read-only array on first read; the array is the one numpy would build
+    from the values the caller passed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4), as_list=st.booleans())
+    def test_payoff_array_is_built_once_from_the_values(self, data, n, as_list):
+        values = data.draw(vectors(n * n, FLOATS)).reshape(n, n)
+        expected = np.array(values)
+        given_values = values.tolist() if as_list else values
+        payoff = PayoffMatrix(given_values)
+        given_values[0][0] = 7.0  # changed by the caller after construction
+        for built in (payoff, PayoffMatrix._of_floats(expected.ravel().tolist(), n, False)):
+            assert built.floats == tuple(expected.ravel().tolist())
+            first = built.entries
+            assert first is built.entries
+            assert not first.flags.writeable
+            assert_same_bits(first, expected)
+            with pytest.raises(ValueError):
+                first[0, 0] = 0.5
+            with pytest.raises(ValueError):
+                first.ravel()[0] = 0.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 9), as_list=st.booleans())
+    def test_shares_array_is_built_once_from_the_values(self, data, n, as_list):
+        x = data.draw(share_vectors(n))
+        x[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([-0.0, 5e-324]))
+        assume(abs(float(x.sum()) - 1.0) <= SIMPLEX_TOL)
+        expected = np.array(x)
+        given_values = x.tolist() if as_list else x
+        state = SharesState(given_values)
+        given_values[0] = 0.5  # changed by the caller after construction
+        for built in (state, SharesState._of_floats(expected.tolist())):
+            assert built.floats == tuple(expected.tolist())
+            assert [math.copysign(1.0, v) for v in built.floats] == \
+                [math.copysign(1.0, v) for v in expected]
+            first = built.shares
+            assert first is built.shares
+            assert not first.flags.writeable
+            assert_same_bits(first, expected)
+            with pytest.raises(ValueError):
+                first[0] = 0.5
+
+    def test_assignment_raises(self):
+        state = SharesState([0.25, 0.75])
+        payoff = PayoffMatrix([[0.0, 1.0], [0.5, 0.25]], normalized=True)
+        for obj, name in [(state, "shares"), (state, "floats"), (payoff, "entries"),
+                          (payoff, "floats"), (payoff, "n"), (payoff, "normalized")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert state.floats == (0.25, 0.75)
+        assert payoff.n == 2 and payoff.normalized
+
+    def test_copies_and_pickles_hold_the_same_floats(self):
+        state = SharesState([0.25, 0.75])
+        payoff = PayoffMatrix._of_floats([0.0, 1.0, 0.5, -0.0], 2, True)
+        for obj in (state, payoff):
+            for clone in (copy.copy(obj), copy.deepcopy(obj),
+                          pickle.loads(pickle.dumps(obj))):
+                assert clone == obj
+                assert clone.floats == obj.floats
+        assert math.copysign(1.0, pickle.loads(pickle.dumps(payoff)).floats[3]) == -1.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_signed_zero_minimum_of_a_matrix_built_from_floats(self, n):
+        """The step path builds payoffs from floats; its first array, read
+        for a zero minimum, must pick numpy's zero as a caller's array does."""
+        size = n * n
+        for bits in range(2 ** (size - 1)):
+            flat = [-0.0 if bits >> k & 1 else 0.0 for k in range(size - 1)] + [1.0]
+            for shift in (0, size - 1):
+                rotated = flat[shift:] + flat[:shift]
+                entries = np.array(rotated).reshape(n, n)
+                got = normalize_payoff(PayoffMatrix._of_floats(rotated, n, False))
+                assert_same_bits(got.entries, ref_normalize(entries))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_strategies_from_floats(self, n):
+        rows = [[0.5] * n for _ in range(n)]
+        with pytest.raises(ValueError) as info:
+            PayoffMatrix._of_floats([0.5] * (n * n), n, False)
+        assert str(info.value) == ref_payoff_check(np.array(rows), False)
+        with pytest.raises(ValueError) as info:
+            SharesState._of_floats([1.0] * n)
+        assert str(info.value) == ref_shares_check(np.array([1.0] * n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(8, 9), sign=st.sampled_from([-1.0, 1.0]),
+           ulps=st.integers(-4, 4))
+    def test_long_share_vectors_sum_as_numpy_does(self, data, n, sign, ulps):
+        """From 8 shares on, numpy sums pairwise; totals at 1 +- 1e-9, moved
+        by a few ulps, must meet the tolerance as numpy's sum does, by both
+        constructors."""
+        x = data.draw(share_vectors(n))
+        largest = int(np.argmax(x))
+        nudged = x[largest] + sign * SIMPLEX_TOL
+        for _ in range(abs(ulps)):
+            nudged = math.nextafter(nudged, math.copysign(math.inf, ulps))
+        x = x.copy()
+        x[largest] = nudged
+        expected = ref_shares_check(x)
+        assert_outcome(lambda: SharesState(x), expected)
+        assert_outcome(lambda: SharesState._of_floats(x.tolist()), expected)
 
 
 # --- pinned trajectory bytes --------------------------------------------------
