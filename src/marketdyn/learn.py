@@ -17,29 +17,35 @@ share.
 
 fit abandons a candidate early, after the UCR suite (Rakthanmanon et al.,
 KDD 2012), once its partial training error exceeds the lowest error of any
-chunk already finished. This is exact: the error is a sum of non-negative
-terms, IEEE addition of a non-negative term never lowers a sum, and the
-final division by the window length is monotone, so an abandoned candidate
-can neither win nor tie. Any bound at or above the true minimum yields the
-same winner, error and tie count, so thread timing cannot change the
-result. train_error_table and the candidate dump evaluate every candidate
-in full, and so does fit when the inputs are large enough for the payoff
-arithmetic to overflow. A non-finite error is never pruned and raises
-DataError.
+candidate already finished. This is exact: the error is a sum of
+non-negative terms, IEEE addition of a non-negative term never lowers a sum,
+and the final division by the window length is monotone, so an abandoned
+candidate can neither win nor tie. Any bound at or above the true minimum
+yields the same winner, error and tie count. train_error_table and the
+candidate dump evaluate every candidate in full, and so does fit when the
+inputs are large enough for the payoff arithmetic to overflow. A
+non-finite error is never pruned and raises DataError.
 
-With more than one worker and more than one chunk, a pruned search runs on
-threads, which share the running minimum as their bound. An every-error
-search shares nothing, so it runs in fork worker processes, where the dump
-text is formatted too; it stays on threads where fork is missing or other
-threads are running. Each chunk is
-reduced where it was scored, and the reductions and the dump text are
-consumed in candidate order, so the result and every output byte are the
-same for any worker count.
+A pruned search runs in the calling thread. Each chunk's free values are
+written into one block that the search reuses, and its first training steps
+run there against the bound; the survivors are pooled, and a pool of a
+chunk's worth of lanes is finished in one kernel run, so that no numpy call
+pays its overhead for a handful of lanes. The first pool finishes its lanes
+of lowest partial error first, to make the bound finite before the bulk of
+it runs. fit_escalating bounds each radius by the error of the one before.
 
-The kernel scores the training window only. The winner's validation error
-comes from the reference simulator's step, simulate.step, iterated from the
-first observed shares over the input rows that lead to the holdout states;
-the last row drives no state, so it is not read.
+An every-error search shares nothing, so it runs in fork worker processes,
+where the dump text is formatted too; it stays on threads where fork is
+missing or other threads are running. Each chunk is reduced where it was
+scored, and the reductions and the dump text are consumed in candidate
+order, so the result and every output byte are the same for any worker
+count.
+
+The kernel scores the training window only. Both searches carry the
+first minimizer's final training shares, and the winner's validation error
+comes from the reference simulator's step, simulate.step, iterated from
+there over the input rows that lead to the holdout states; the last row
+drives no state, so it is not read.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dataset import MarketDataset
+from .dynamics import SharesState
 from .errors import ConfigError, DataError
 from .influence import (
     DEGENERATE_RANGE,
@@ -238,49 +245,86 @@ def _decode_values(lo: int, hi: int, radius: int, free_count: int) -> np.ndarray
     return values
 
 
-# Overflow and NaN show up as non-finite errors, which raise DataError below.
+@functools.lru_cache(maxsize=4)
+def _digit_patterns(radius: int, free_count: int, size: int) -> tuple:
+    """Per free value p whose digit repeats with a period (2r+1)**(free - p)
+    of at most ``size`` ids: its values, as floats, over ids
+    0 .. period + size - 1, so that any ``size`` consecutive ids are one
+    slice. None for the free values that change more slowly."""
+    base = 2 * radius + 1
+    patterns = []
+    for p in range(free_count):
+        run = base ** (free_count - 1 - p)  # consecutive ids that share the digit
+        if run * base > size:
+            patterns.append(None)
+        else:
+            ids = np.arange(run * base + size)
+            patterns.append((ids // run % base - radius).astype(float))
+    return tuple(patterns)
+
+
+def _write_values(block: np.ndarray, lo: int, radius: int, size: int) -> None:
+    """Write into the rows of ``block`` the free values of the candidates
+    lo, lo + 1, ..., one column each, as _decode_values gives them. ``size``
+    bounds the columns; the fast-changing digits are slices of a cached
+    pattern, and a slow one takes at most 2r + 3 runs of one value."""
+    base = 2 * radius + 1
+    free_count, count = block.shape
+    for p, pattern in enumerate(_digit_patterns(radius, free_count, size)):
+        run = base ** (free_count - 1 - p)
+        if pattern is not None:
+            start = lo % (run * base)
+            block[p] = pattern[start:start + count]
+            continue
+        for first in range(lo - lo % run, lo + count, run):
+            block[p, max(first - lo, 0):first + run - lo] = first // run % base - radius
+
+
+def _seed(problem: _Problem, state: np.ndarray) -> None:
+    """Start every lane of ``state`` at the first observed shares, with the
+    error at time 0."""
+    state[len(problem.orbits):-1] = problem.x0[:, None]
+    d0 = float(problem.x0[0]) - float(problem.target[0])
+    state[-1] = d0 * d0
+
+
+# Overflow and NaN show up as non-finite errors, which raise DataError.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _chunk_errors(
+def _advance(
     problem: _Problem,
-    values: np.ndarray,
+    state: np.ndarray,
+    ids,
+    start: int,
+    stop: int,
     bound: float = math.inf,
-    *,
-    first: int = 0,
-) -> np.ndarray:
-    """Trajectory-matching errors for a batch of candidates.
+):
+    """Run training steps start .. stop - 1 on a block of candidates; return
+    the lanes still in it and their ids.
 
-    ``values`` holds one row per free value and one column per candidate,
-    whose id is ``first`` plus the column. Mirrors the scalar path
-    (synthesize_payoff, normalize_payoff, replicator_rates, advance_shares)
-    with identical per-element operation order, so batch and scalar errors
-    agree bit for bit. Payoff entries are accumulated straight from the free
-    values; zero-mask terms are skipped, which can only change the sign of
-    a zero.
+    ``state`` holds one column ("lane") per candidate, laid out as struct of
+    arrays: one row per free value, then one per share, then the error sum,
+    so dropping lanes compacts every row at once. The share and error rows
+    are updated in place. Mirrors the scalar path (synthesize_payoff,
+    normalize_payoff, replicator_rates, advance_shares) with identical
+    per-element operation order, so batch and scalar errors agree bit for
+    bit. Payoff entries are accumulated straight from the free values;
+    zero-mask terms are skipped, which can only change the sign of a zero.
 
-    After each training step a candidate whose partial error already
-    exceeds ``bound`` is dropped and reads +inf in the returned errors.
+    After each step a lane whose partial error over the window length
+    exceeds ``bound`` is dropped, and so is its entry of ``ids``.
     """
     n, train_len, dt = problem.n, problem.train_len, problem.dt
-    inputs, target = problem.inputs.tolist(), problem.target.tolist()
-    free, count = values.shape
+    inputs = problem.inputs[start - 1:stop - 1].tolist()
+    target = problem.target[start:stop].tolist()
+    shares = len(problem.orbits)
     prune = bound < math.inf
-    # Struct of arrays: one contiguous row per free value, per share, and
-    # for the error sum, so dropping candidates compacts every row at once.
-    shares, err_row = free, free + n
-    state = np.empty((free + n + 1, count))
-    state[:free] = values
-    state[shares:err_row] = problem.x0[:, None]
-    d0 = float(problem.x0[0]) - target[0]
-    state[err_row] = d0 * d0
-    live = np.arange(count)
 
-    for t in range(1, train_len):
-        y = inputs[t - 1]
-        x = state[shares:err_row]
+    for y, goal in zip(inputs, target):
+        x = state[shares:-1]
         raw = []
         for entry in problem.terms:
             if not entry:
-                raw.append(np.zeros(live.size))
+                raw.append(np.zeros(state.shape[1]))
                 continue
             (m, f), *rest = entry
             acc = state[f] * y[m]
@@ -327,26 +371,37 @@ def _chunk_errors(
         for i in range(n):
             np.divide(nxt[i], total, out=x[i])
 
-        d = x[0] - target[t]
+        d = x[0] - goal
         d *= d
-        state[err_row] += d
+        state[-1] += d
         if prune:
-            # written so that a NaN partial error is kept and reported below
-            keep = ~(state[err_row] / train_len > bound)
+            # written so that a NaN partial error is kept and reported
+            keep = ~(state[-1] / train_len > bound)
             if not keep.all():
                 state = state[:, keep]
-                live = live[keep]
-                if not live.size:
+                ids = ids[keep]
+                if not ids.size:
                     break
+    return state, ids
 
-    train = state[err_row] / train_len
+
+def _chunk_errors(problem: _Problem, values: np.ndarray, *, first: int = 0):
+    """Training errors of a batch of candidates, each run in full, and
+    their final training shares (one row per share).
+
+    ``values`` holds one row per free value and one column per candidate,
+    whose id is ``first`` plus the column.
+    """
+    free, count = values.shape
+    state = np.empty((free + problem.n + 1, count))
+    state[:free] = values
+    _seed(problem, state)
+    state, _ = _advance(problem, state, None, 1, problem.train_len)
+    train = state[-1] / problem.train_len
     bad = ~np.isfinite(train)
     if bad.any():
-        raise _non_finite(first + int(live[np.argmax(bad)]))
-    if live.size < count:
-        survivors, train = train, np.full(count, math.inf)
-        train[live] = survivors
-    return train
+        raise _non_finite(first + int(np.argmax(bad)))
+    return train, state[free:-1]
 
 
 def _non_finite(candidate: int) -> DataError:
@@ -355,20 +410,6 @@ def _non_finite(candidate: int) -> DataError:
         "the inputs are too large for the payoff arithmetic; rescale them "
         "(normalize the inputs)"
     )
-
-
-class _RunningMin:
-    """Lowest training error of any chunk finished so far, shared by the
-    worker threads as the pruning bound."""
-
-    def __init__(self):
-        self.value = math.inf
-        self._lock = threading.Lock()
-
-    def lower(self, value: float) -> None:
-        with self._lock:
-            if value < self.value:
-                self.value = value
 
 
 _ERRORS, _TEXT = "errors", "text"  # what a chunk returns besides its reduction
@@ -388,23 +429,25 @@ class _Search:
 
 
 class _Chunk(NamedTuple):
-    """One chunk's reduction: its lowest error (+inf when every candidate
-    was pruned), the id and free values of its first minimizer, and how
-    many of its candidates reach that error; plus the rows asked for."""
+    """The reduction of a run of candidates starting at id ``lo``: its
+    lowest error, the id, free values and final training shares of its first
+    minimizer, and how many of its candidates reach that error; plus the
+    rows asked for."""
 
     lo: int
     error: float
     index: int
     values: tuple[int, ...]
+    shares: tuple[float, ...]
     ties: int
     rows: object
 
 
-def _score_chunk(search: _Search, lo: int, bound: float = math.inf) -> _Chunk:
+def _score_chunk(search: _Search, lo: int) -> _Chunk:
     free_count = len(search.problem.orbits)
     hi = min(lo + search.chunk_size, search.total)
     values = _decode_values(lo, hi, search.radius, free_count)
-    train = _chunk_errors(search.problem, values, bound, first=lo)
+    train, shares = _chunk_errors(search.problem, values, first=lo)
     best = int(np.argmin(train))
     error = float(train[best])
     rows = None
@@ -413,7 +456,7 @@ def _score_chunk(search: _Search, lo: int, bound: float = math.inf) -> _Chunk:
     elif search.rows == _TEXT:
         rows = _dump_text(lo, values, train, search.radius)
     return _Chunk(lo, error, lo + best, tuple(values[:, best].tolist()),
-                  int(np.count_nonzero(train == error)), rows)
+                  tuple(shares[:, best].tolist()), int(np.count_nonzero(train == error)), rows)
 
 
 _worker_search: Optional[_Search] = None  # set in each fork worker
@@ -428,36 +471,28 @@ def _worker_chunk(lo: int) -> _Chunk:
     return _score_chunk(_worker_search, lo)
 
 
-def _evaluate_chunks(search: _Search, workers: int, prune: bool):
-    """Yield one _Chunk per chunk, in candidate order.
+def _evaluate_chunks(search: _Search, workers: int):
+    """Yield one _Chunk per chunk, every candidate scored in full, in
+    candidate order.
 
-    With ``prune``, each chunk is bounded by the lowest error of the chunks
-    finished before it starts, shared between worker threads. That bound is
-    at or above the true minimum, so no minimizer is ever dropped, whatever
-    the thread timing. An every-error search shares nothing, so it runs in
-    fork worker processes, which inherit the search instead of unpickling
-    it; the dump text is formatted there, on every core. It stays on
-    threads where fork is missing or other threads are running. Either way
-    the chunks, and so the result, are the same as with one worker.
+    Chunks share nothing, so they run in fork worker processes, which
+    inherit the search instead of unpickling it; the dump text is formatted
+    there, on every core. They stay on threads where fork is missing or
+    other threads are running. Either way the chunks, and so the result,
+    are the same as with one worker.
     """
     starts = range(0, search.total, search.chunk_size)
     workers = min(workers, len(starts))
-    running = _RunningMin()
-
-    def job(lo):
-        chunk = _score_chunk(search, lo, running.value if prune else math.inf)
-        running.lower(chunk.error)
-        return chunk
-
     if workers <= 1:
         for lo in starts:
-            yield job(lo)
+            yield _score_chunk(search, lo)
         return
     # fork copies only the calling thread, so a lock that another thread
     # holds would stay held in the workers: fork a single-threaded process
     # only.
-    if prune or not hasattr(os, "fork") or threading.active_count() > 1:
-        pool, task = ThreadPoolExecutor(max_workers=workers), job
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        pool = ThreadPoolExecutor(max_workers=workers)
+        task = functools.partial(_score_chunk, search)
     else:
         # Imported here: at module level they would add about 15 ms to
         # every CLI start.
@@ -489,6 +524,94 @@ def _evaluate_chunks(search: _Search, workers: int, prune: bool):
             for future in pending:
                 if not future.cancel():
                     future.exception()  # wait; the first failure is already raised
+
+
+# Training steps a chunk runs in the search's block before its survivors
+# join the pool, capped at the last training step. On the benchmark's seed-1
+# inputs, two steps pool 6.6% of the planted r4 lanes and 39% of the noisy
+# r3 ones, against 9.9% and 64% after one step and 6.4% and 29% after
+# three; whole fits with one to four steps were within run-to-run noise.
+_SCREEN_STEPS = 2
+
+
+def _lanes_chunk(problem: _Problem, state: np.ndarray, ids: np.ndarray) -> _Chunk:
+    """The reduction of finished lanes, whose ids need not be in order; the
+    first minimizer is the one with the smallest id."""
+    train = state[-1] / problem.train_len
+    bad = ~np.isfinite(train)
+    if bad.any():
+        raise _non_finite(int(ids[bad].min()))
+    error = float(train.min())
+    tied = np.flatnonzero(train == error)
+    lane = int(tied[np.argmin(ids[tied])])
+    free = len(problem.orbits)
+    return _Chunk(int(ids.min()), error, int(ids[lane]),
+                  tuple(int(v) for v in state[:free, lane].tolist()),
+                  tuple(state[free:-1, lane].tolist()), int(tied.size), None)
+
+
+def _pooled_chunks(search: _Search, bound: float = math.inf):
+    """Yield the reduction of each pool of survivors, in candidate order, for
+    a pruned search in the calling thread.
+
+    Each chunk's free values are written into one block that the whole
+    search reuses, and its first training steps run there against the bound.
+    The survivors join a pool; once it holds a chunk's worth of lanes, or
+    the search ends, the pool is finished in one kernel run, so no numpy
+    call pays its overhead for a handful of lanes. The pool stays under
+    twice the chunk size. The bound is ``bound`` lowered to each finished
+    pool's error, always a candidate's error and so never below the true
+    minimum.
+    """
+    problem, size = search.problem, min(search.chunk_size, search.total)
+    train_len = problem.train_len
+    screened = 1 + min(_SCREEN_STEPS, train_len - 1)
+    # The bound is infinite until the first pool is finished, unless one
+    # came in. An unbounded pool finishes its lanes of lowest partial error
+    # first, so the bulk of it runs under a finite bound; a sixteenth of a
+    # chunk costs about that share of an unbounded run. A pool of at most
+    # that many lanes is finished in one run, since a split pays each
+    # step's per-call cost twice: split, the 729-lane long-simulate
+    # benchmark fit took 1.34x the time of the thread search before it, and
+    # unsplit 0.81x (medians of 10 pairs).
+    probe = max(1, search.chunk_size // 16)
+    block = np.empty((len(problem.orbits) + problem.n + 1, size))
+    pool, pooled = [], 0
+    for lo in range(0, search.total, size):
+        state = block[:, :min(size, search.total - lo)]
+        _write_values(state[:len(problem.orbits)], lo, search.radius, size)
+        _seed(problem, state)
+        state, ids = _advance(problem, state, np.arange(lo, lo + state.shape[1]),
+                              1, screened, bound)
+        if np.may_share_memory(state, block):
+            state = state.copy()  # nothing was dropped; the block is reused
+        pool.append((state, ids))
+        pooled += ids.size
+        if pooled < size and lo + size < search.total:
+            continue
+        state = np.concatenate([s for s, _ in pool], axis=1)
+        ids = np.concatenate([i for _, i in pool])
+        pool, pooled = [], 0
+        if not ids.size:
+            continue
+        if bound == math.inf and ids.size > probe:
+            head = np.zeros(ids.size, dtype=bool)
+            head[np.argpartition(state[-1], probe - 1)[:probe]] = True
+            done, done_ids = _advance(problem, state[:, head], ids[head],
+                                      screened, train_len, bound)
+            lowest = float((done[-1] / train_len).min(initial=math.inf))
+            if lowest < bound:  # a NaN error leaves the bound as it was
+                bound = lowest
+            rest, rest_ids = _advance(problem, state[:, ~head], ids[~head],
+                                      screened, train_len, bound)
+            state = np.concatenate([done, rest], axis=1)
+            ids = np.concatenate([done_ids, rest_ids])
+        else:
+            state, ids = _advance(problem, state, ids, screened, train_len, bound)
+        if ids.size:
+            chunk = _lanes_chunk(problem, state, ids)
+            bound = min(bound, chunk.error)
+            yield chunk
 
 
 # Entries per formatter table: at most the square root of the largest
@@ -565,7 +688,7 @@ def train_error_table(
     with the full candidate count."""
     search = _setup_search(dataset, grid, constraints, holdout_fraction, dt, _ERRORS)
     table = np.empty(search.total)
-    for chunk in _evaluate_chunks(search, workers, prune=False):
+    for chunk in _evaluate_chunks(search, workers):
         table[chunk.lo:chunk.lo + chunk.rows.size] = chunk.rows
     return table
 
@@ -602,7 +725,11 @@ def _fit_common(
     dt: float,
     workers: int,
     error_dump,
+    *,
+    bound: float = math.inf,
 ) -> FitReport:
+    """The fit; a pruned search starts from ``bound``, which must be at or
+    above the lowest training error of the grid."""
     started = time.perf_counter()
     search = _setup_search(dataset, grid, constraints, holdout_fraction, dt,
                            None if error_dump is None else _TEXT)
@@ -613,11 +740,12 @@ def _fit_common(
     # most 2 r max_t sum_m |y_tm|, and twice that must be finite.
     with np.errstate(over="ignore"):
         reach = 4.0 * grid.radius * float(np.abs(problem.inputs).sum(axis=1).max())
-    prune = error_dump is None and math.isfinite(reach)
+    if error_dump is None and math.isfinite(reach):
+        chunks = _pooled_chunks(search, bound)
+    else:
+        chunks = _evaluate_chunks(search, workers)
 
-    best_err = math.inf
-    best_index = -1
-    best_values: Optional[tuple[int, ...]] = None
+    best: Optional[_Chunk] = None
     tie_count = 0
     # The dump reaches error_dump only once the fit, validation included,
     # has succeeded.
@@ -627,44 +755,42 @@ def _fit_common(
             header += [f"param_{f + 1}" for f in range(len(problem.orbits))]
             header += ["train_error"]
             dump_file.write(",".join(header) + "\n")
-        for chunk in _evaluate_chunks(search, workers, prune):
+        # Chunks come in candidate order, so on a tie the earlier one holds
+        # the first minimizer.
+        for chunk in chunks:
             if dump_file is not None:
                 dump_file.write(chunk.rows)
-            if chunk.error == math.inf:
-                continue  # every candidate of the chunk was pruned
-            if chunk.error < best_err:
-                best_err = chunk.error
-                best_index = chunk.index
-                best_values = chunk.values
-                tie_count = chunk.ties
-            elif chunk.error == best_err:
+            if best is None or chunk.error < best.error:
+                best, tie_count = chunk._replace(rows=None), chunk.ties
+            elif chunk.error == best.error:
                 tie_count += chunk.ties
 
-        if best_values is None:
+        if best is None:
             raise ConfigError("empty search space")
 
         best_alpha = InfluenceMatrix.from_free_values(
-            problem.n, problem.n_y, problem.zero_mask, problem.symmetry_pairs, best_values
+            problem.n, problem.n_y, problem.zero_mask, problem.symmetry_pairs, best.values
         )
+        # The winner's holdout states continue from its final training
+        # shares, which the kernel computes as the scalar step does.
         predicted = []
-        x = dataset.shares[0]
         try:
+            x = SharesState._of_floats(best.shares)
             # Overflow surfaces as a non-finite payoff or share, which raises.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for t in range(1, problem.total_len):
+                for t in range(problem.train_len, problem.total_len):
                     x = step(x, problem.inputs[t - 1], best_alpha, dt)[0]
-                    if t >= problem.train_len:
-                        predicted.append(x.floats[0])
+                    predicted.append(x.floats[0])
         except (ValueError, ArithmeticError) as exc:
-            raise _non_finite(best_index) from exc
+            raise _non_finite(best.index) from exc
         validation_error = mse(predicted, problem.target[problem.train_len:])
 
     return FitReport(
         best_alpha=best_alpha,
         constraint_mode=constraints.mode,
         free_layout=problem.layout,
-        best_values=best_values,
-        train_error=best_err,
+        best_values=best.values,
+        train_error=best.error,
         validation_error=float(validation_error),
         tie_class_size=tie_count,
         candidates_evaluated=search.total,
@@ -692,7 +818,10 @@ def fit(
     normalized inputs. The winner minimizes training error; exact ties go
     to the lexicographically smallest free-value tuple, and tie_class_size
     reports how many candidates achieved the minimum. validation_error
-    scores the winner's stepped shares over the holdout window.
+    scores the winner's stepped shares over the holdout window. ``workers``
+    parallelizes only a search that needs every error (with error_dump, or
+    on inputs whose payoffs could overflow); a pruned search runs in the
+    calling thread.
     """
     return _fit_common(
         dataset, grid, constraints, holdout_fraction,
@@ -749,9 +878,11 @@ def fit_escalating(
         )
     report = None
     for radius in range(start_radius, max_radius + 1):
-        report = fit(
-            dataset, GridSpec(radius), constraints, holdout_fraction,
-            dt=dt, workers=workers,
+        # The previous grid lies inside this one, so its lowest error is a
+        # candidate's error here too: at or above this grid's minimum.
+        report = _fit_common(
+            dataset, GridSpec(radius), constraints, holdout_fraction, dt, workers, None,
+            bound=math.inf if report is None else report.train_error,
         )
         if report.train_error < error_target:
             return report

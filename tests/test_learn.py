@@ -5,9 +5,11 @@ import json
 import math
 import re
 import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from marketdyn.learn import (
     split,
     train_error_table,
 )
-from marketdyn.simulate import custom_scenario, run
+from marketdyn.simulate import custom_scenario, run, step
 
 PLANTED = (1, 0, -1, 1, 0, 1)
 WIGGLY = (0.3, 0.42, 0.37, 0.55, 0.61, 0.5, 0.66, 0.7)
@@ -341,22 +343,40 @@ class TestPruning:
     def test_chunks_in_flight_are_bounded(self, monkeypatch):
         """Counted in the parent, since a process worker's kernel calls are
         out of sight: behind a slow consumer at most 2 x workers chunks are
-        submitted and not yet consumed, on threads (pruned) and on fork
-        processes (every error) alike."""
+        submitted and not yet consumed on fork processes (every error). A
+        pruned fit submits nothing, and no kernel run of its pool holds more
+        than 2 x chunk size lanes."""
         submitted = count_submissions(monkeypatch)
         problem = learn._build_problem(planted_dataset(), DUOPOLY_SPEC, 0.2, 1.0)
-        for prune, executor in ((True, "ThreadPoolExecutor"), (False, "ProcessPoolExecutor")):
-            submitted.clear()
-            consumed = []
-            for chunk in learn._evaluate_chunks(learn._Search(problem, 1, 729, 7), 2, prune):
-                assert len(submitted) - len(consumed) <= 4
-                consumed.append(chunk.lo)
-                if len(consumed) == 1:
-                    time.sleep(0.2)  # a consumer slower than the workers
-                    assert len(submitted) <= 4
-            assert consumed == list(range(0, 729, 7))
-            assert submitted == [(executor, lo) for lo in range(0, 729, 7)]
+        executor = "ProcessPoolExecutor"
+        consumed = []
+        for chunk in learn._evaluate_chunks(learn._Search(problem, 1, 729, 7), 2):
+            assert len(submitted) - len(consumed) <= 4
+            consumed.append(chunk.lo)
+            if len(consumed) == 1:
+                time.sleep(0.2)  # a consumer slower than the workers
+                assert len(submitted) <= 4
+        assert consumed == list(range(0, 729, 7))
+        assert submitted == [(executor, lo) for lo in range(0, 729, 7)]
 
+        runs = []  # (lanes, lowest id, highest id) of every kernel run
+        advance = learn._advance
+
+        def counting(problem, state, ids, *args):
+            runs.append((state.shape[1], int(ids.min()), int(ids.max())))
+            return advance(problem, state, ids, *args)
+
+        monkeypatch.setattr(learn, "_advance", counting)
+        for chunk in (7, 13, 64):
+            runs.clear()
+            submitted.clear()
+            with chunk_size(chunk):
+                fit(make_dataset(WIGGLY, ramp_inputs(8)), GridSpec(1), DUOPOLY_SPEC, 0.2,
+                    workers=2)
+            assert submitted == []
+            assert max(lanes for lanes, _, _ in runs) <= 2 * chunk
+            # some run finishes the survivors of more than one chunk
+            assert any(last // chunk > first // chunk for _, first, last in runs)
 
     def test_every_error_search_forks_only_a_single_threaded_process(self, monkeypatch):
         submitted = count_submissions(monkeypatch)
@@ -374,6 +394,97 @@ class TestPruning:
         assert not other.is_alive()
         assert {pool for pool, _ in submitted} == {"ThreadPoolExecutor"}
         assert np.array_equal(table, expected)
+
+
+def table_reduction(table):
+    """(best values, error, tie count) of a full error table at radius 2."""
+    best = float(table.min())
+    return decode(int(np.argmin(table)), 2), best, int(np.count_nonzero(table == best))
+
+
+def frozen_market(dataset):
+    """The market fit_constant_market scores against."""
+    return MarketDataset(labels=dataset.labels, shares=(dataset.shares[0],) * len(dataset),
+                         inputs=dataset.inputs, ownership=dataset.ownership)
+
+
+class TestPooledSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), radius=st.integers(0, 4), free_count=st.integers(0, 7))
+    def test_written_values_equal_the_divmod_decoder(self, data, radius, free_count):
+        """Blocks that start and end on either side of a multiple of some
+        digit's period, for block sizes below and above that period."""
+        base = 2 * radius + 1
+        total = base**free_count
+        size = data.draw(st.integers(1, 3 * base**3))
+        count = data.draw(st.integers(1, min(size, total)))
+        period = base ** data.draw(st.integers(0, free_count))
+        edge = period * data.draw(st.integers(0, total // period))
+        lo = min(max(edge - data.draw(st.integers(0, count)), 0), total - count)
+        block = np.full((free_count, count), np.nan)
+        learn._write_values(block, lo, radius, size)
+        assert np.array_equal(block, learn._decode_values(lo, lo + count, radius, free_count))
+
+    @pytest.mark.parametrize("chunk", [64, 100, 1000])
+    def test_needle_in_the_last_chunk(self, chunk):
+        needle = (2, 2, 2, 2, 1, -1)
+        dataset = planted_dataset(needle)
+        table = train_error_table(dataset, GridSpec(2), DUOPOLY_SPEC, 0.2)
+        assert table_reduction(table) == (needle, 0.0, 1)
+        assert rank_of(needle, 2) // chunk == (5**6 - 1) // chunk
+        with chunk_size(chunk):
+            report = fit(dataset, GridSpec(2), DUOPOLY_SPEC, 0.2)
+        assert (report.best_values, report.train_error, report.tie_class_size) == (
+            table_reduction(table))
+
+    @pytest.mark.parametrize("chunk", [16, 50, 100, 1000])
+    def test_tie_class_split_across_pools(self, chunk):
+        """The 25 zero-rate candidates (a, b, 0, a, 0, b) lie in different
+        pools at every chunk size here."""
+        dataset = planted_dataset()
+        table = train_error_table(frozen_market(dataset), GridSpec(2), DUOPOLY_SPEC, 0.2)
+        assert table_reduction(table) == ((-2, -2, 0, -2, 0, -2), 0.0, 25)
+        with chunk_size(chunk):
+            report = fit_constant_market(dataset, GridSpec(2), DUOPOLY_SPEC, 0.2)
+        assert (report.best_values, report.train_error, report.tie_class_size) == (
+            table_reduction(table))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 16, 17, 45, 100])
+    def test_constant_market_ties_every_candidate(self, chunk):
+        """Zero inputs give every candidate a flat payoff, so the market
+        never moves and all 729 candidates score 0."""
+        dataset = make_dataset([0.4] * 8, np.zeros((8, 4)))
+        with chunk_size(chunk):
+            report = fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2)
+        assert report.best_values == decode(0, 1)
+        assert (report.train_error, report.tie_class_size) == (0.0, 729)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        share1=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=7),
+        dt=st.floats(0.0, 1.0, exclude_min=True),
+        chunk=st.integers(16, 100),
+    )
+    def test_fit_equals_table_reduction_at_radius_2(self, share1, dt, chunk):
+        dataset = make_dataset(share1, ramp_inputs(len(share1)))
+        table = train_error_table(dataset, GridSpec(2), DUOPOLY_SPEC, 0.2, dt=dt)
+        with chunk_size(chunk):
+            report = fit(dataset, GridSpec(2), DUOPOLY_SPEC, 0.2, dt=dt)
+        assert (report.best_values, report.train_error, report.tie_class_size) == (
+            table_reduction(table))
+
+    def test_lanes_out_of_id_order_reduce_to_the_smallest_minimizer(self):
+        """The first pool finishes its best lanes before the rest, so its
+        lanes reach the reduction out of id order."""
+        problem = learn._build_problem(planted_dataset(), DUOPOLY_SPEC, 0.2, 1.0)
+        state = np.zeros((6 + 2 + 1, 4))
+        state[-1] = [3.0, 1.0, 2.0, 1.0]
+        state[6] = [0.1, 0.2, 0.3, 0.4]
+        state[:6] = np.arange(4)
+        chunk = learn._lanes_chunk(problem, state, np.array([2, 9, 0, 4]))
+        assert chunk.index == 4 and chunk.ties == 2
+        assert chunk.values == (3,) * 6 and chunk.shares == (0.4, 0.0)
+        assert chunk.error == 1.0 / problem.train_len
 
 
 class TestKernelProperties:
@@ -436,6 +547,40 @@ class TestKernelProperties:
         best = float(table.min())
         assert report.train_error == best
         assert report.tie_class_size == int(np.count_nonzero(table == best))
+
+
+def iterated_validation_error(dataset, report, dt):
+    """The winner's validation error by the pass that steps every input row
+    from the first observed shares."""
+    x = dataset.shares[0]
+    predicted = []
+    for t in range(1, len(dataset)):
+        x = step(x, dataset.inputs[t - 1], report.best_alpha, dt)[0]
+        if t >= report.train_len:
+            predicted.append(x.floats[0])
+    return mse(predicted, dataset.share_series(0)[report.train_len:])
+
+
+class TestValidation:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        length=st.integers(5, 9),
+        dt=st.floats(0.0, 1.0, exclude_min=True),
+        dumped=st.booleans(),
+    )
+    def test_continuing_the_winner_equals_the_iterated_pass(self, data, length, dt, dumped):
+        """The holdout steps start from the winner's final training shares,
+        as the pruned search and the every-error search carry them."""
+        share1 = data.draw(st.lists(st.floats(0.0, 1.0), min_size=length, max_size=length))
+        inputs = np.array(data.draw(st.lists(
+            st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+            min_size=length, max_size=length)))
+        dataset = make_dataset(share1, inputs)
+        with tempfile.TemporaryDirectory() as tmp:
+            dump = Path(tmp) / "errors.csv" if dumped else None
+            report = fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, dt=dt, error_dump=dump)
+        assert report.validation_error == iterated_validation_error(dataset, report, dt)
 
 
 class TestConstantMarketFit:
@@ -558,6 +703,32 @@ class TestFitEscalating:
                                 error_target=1e-30, start_radius=0, max_radius=1)
         assert report.radius == 1
         assert report.train_error > 1e-30
+
+
+    def test_each_radius_starts_from_the_last_error(self, monkeypatch):
+        """Every radius is bounded by the error of the one before, and its
+        report bytes equal those of an independent fit at that radius."""
+        dataset = make_dataset(WIGGLY, ramp_inputs(8))
+        calls = []
+        fit_common = learn._fit_common
+
+        def recording(*args, **kwargs):
+            report = fit_common(*args, **kwargs)
+            calls.append((kwargs.get("bound", math.inf), report))
+            return report
+
+        with pytest.MonkeyPatch.context() as patch, chunk_size(50):
+            patch.setattr(learn, "_fit_common", recording)
+            fit_escalating(dataset, DUOPOLY_SPEC, 0.2, error_target=1e-30,
+                           start_radius=0, max_radius=2, dt=0.5)
+        assert [report.radius for _, report in calls] == [0, 1, 2]
+        assert [bound for bound, _ in calls] == [math.inf] + [
+            report.train_error for _, report in calls[:-1]]
+        for _, report in calls:
+            with chunk_size(50):
+                independent = fit(dataset, GridSpec(report.radius), DUOPOLY_SPEC, 0.2, dt=0.5)
+            assert (json.dumps(report_to_dict(report, dataset.ownership))
+                    == json.dumps(report_to_dict(independent, dataset.ownership)))
 
 
 class TestReportSerialization:
