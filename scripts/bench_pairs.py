@@ -16,7 +16,10 @@ two runs follow each other; the parent runs first in even pairs and the
 change in odd ones. Every metric that BENCHMARK.json lists as end to end is
 summarized per side (median, quartiles from statistics.quantiles(n=4), the
 values in pair order), with the pairs the change won (ties count for
-neither side) and the ratio of the medians. The summary also says whether
+neither side), the ratio of the medians, and ``beyond_bound``: whether the
+change's median is worse than the parent's by more than the metric's
+BENCHMARK.json bound, as a fraction of the parent's median. One stderr line
+names every metric beyond its bound. The summary also says whether
 every run passed its output checks and whether both sides wrote the same
 sha256 for every input and output file of each seed. Each run's result and
 record are kept under .bench_build/bench_pairs/.
@@ -115,17 +118,33 @@ def side_summary(values: list[float]) -> dict:
             "q3": rounded(q3), "values": [rounded(v) for v in values]}
 
 
-def metric_summary(better: str, parent: list[float], change: list[float]) -> dict:
+def change_wins(better: str, parent: list[float], change: list[float]) -> int:
+    """Pairs in which the change reads better; a tie counts for neither side."""
     sign = 1.0 if better == "lower" else -1.0
-    wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+    return sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+
+
+def beyond_bound(better: str, bound: float, parent: list[float], change: list[float]) -> bool:
+    """Whether the change's median is worse than the parent's by more than
+    ``bound``, a fraction of the parent's median."""
+    parent_median = statistics.median(parent)
+    worse = statistics.median(change) - parent_median
+    if better != "lower":
+        worse = -worse
+    return worse > bound * abs(parent_median)
+
+
+def metric_summary(better: str, bound: float, parent: list[float], change: list[float]) -> dict:
     parent_median = statistics.median(parent)
     return {
         "better": better,
+        "bound": bound,
         "parent": side_summary(parent),
         "change": side_summary(change),
-        "change_wins": wins,
+        "change_wins": change_wins(better, parent, change),
         "median_ratio": rounded(statistics.median(change) / parent_median)
         if parent_median else None,
+        "beyond_bound": beyond_bound(better, bound, parent, change),
     }
 
 
@@ -133,7 +152,7 @@ def claim_result(better: str, unit: str, parent: list[float], change: list[float
     """Gain rule: the change wins at least nine tenths of the pairs and the
     medians differ, the right way, by more than the parent's quartile
     distance."""
-    summary = metric_summary(better, parent, change)
+    wins = change_wins(better, parent, change)
     pairs = len(parent)
     gap = statistics.median(parent) - statistics.median(change)
     if better != "lower":
@@ -142,18 +161,18 @@ def claim_result(better: str, unit: str, parent: list[float], change: list[float
     spread = q3 - q1
     suffix = {"1/s": "per_s"}.get(unit, unit.lower())
     return {
-        "change_wins": summary["change_wins"],
+        "change_wins": wins,
         "pairs": pairs,
         f"median_gap_{suffix}": rounded(gap),
         f"parent_quartile_distance_{suffix}": rounded(spread),
-        "holds": summary["change_wins"] >= math.ceil(0.9 * pairs) and gap > spread,
+        "holds": wins >= math.ceil(0.9 * pairs) and gap > spread,
     }
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     seconds = args.spec["run_seconds"]
-    metrics = [(m["name"], m["better"]) for m in args.spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in args.spec["end_to_end"]]
     units = {m["name"]: m["unit"] for m in args.spec["end_to_end"]}
     revisions = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     raw_dir = ROOT / ".bench_build" / "bench_pairs"
@@ -195,7 +214,7 @@ def main(argv=None) -> int:
     }
     if args.claim:
         workload, metric = args.claim
-        better = dict(metrics)[metric]
+        better = next(b for name, b, _ in metrics if name == metric)
         summary["claim"] = {
             "workload": workload,
             "metric": metric,
@@ -219,13 +238,16 @@ def main(argv=None) -> int:
             "output_sha256_identical_per_seed": all(
                 p["record"]["sha256"] == c["record"]["sha256"] for p, c in zip(parent, change)),
             "metrics": {
-                name: metric_summary(better,
+                name: metric_summary(better, bound,
                                      [r["result"]["metrics"][name]["value"] for r in parent],
                                      [r["result"]["metrics"][name]["value"] for r in change])
-                for name, better in metrics
+                for name, better, bound in metrics
             },
         }
     args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
+    beyond = [f"{workload} {name}" for workload, entry in summary["workloads"].items()
+              for name, metric in entry["metrics"].items() if metric["beyond_bound"]]
+    print("beyond bound: " + (", ".join(beyond) if beyond else "none"), file=sys.stderr)
     print(f"summary written to {args.out}", file=sys.stderr)
     return 0
 

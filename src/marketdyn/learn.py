@@ -13,7 +13,12 @@ The candidate evaluations are pure and independent; the engine batches them
 into vectorized chunks whose per-candidate arithmetic is identical,
 operation for operation, to the scalar simulation path. A chunk is laid out
 as struct of arrays: one contiguous vector per free value, payoff entry and
-share.
+share. A payoff depends on the inputs and the coefficients, never on the
+shares, so the kernel normalizes the payoffs of a block of steps in one
+batch of array operations, as many steps as a fixed element budget holds
+for the lanes at hand, and its step loop updates only the shares and the
+error. A run under a finite bound takes one step per block, since it drops
+lanes after almost every step.
 
 fit abandons a candidate early, after the UCR suite (Rakthanmanon et al.,
 KDD 2012), once its partial training error exceeds the lowest error of any
@@ -232,19 +237,6 @@ def _build_problem(
     )
 
 
-def _decode_values(lo: int, hi: int, radius: int, free_count: int) -> np.ndarray:
-    """Free-value columns for candidate ids [lo, hi): row p holds free value
-    p of every candidate. Id order is exactly the lexicographic order of the
-    value tuples."""
-    base = 2 * radius + 1
-    rem = np.arange(lo, hi, dtype=np.int64)
-    values = np.empty((free_count, hi - lo), dtype=np.int64)
-    for p in range(free_count - 1, -1, -1):
-        rem, digit = np.divmod(rem, base)
-        values[p] = digit - radius
-    return values
-
-
 @functools.lru_cache(maxsize=4)
 def _digit_patterns(radius: int, free_count: int, size: int) -> tuple:
     """Per free value p whose digit repeats with a period (2r+1)**(free - p)
@@ -265,9 +257,11 @@ def _digit_patterns(radius: int, free_count: int, size: int) -> tuple:
 
 def _write_values(block: np.ndarray, lo: int, radius: int, size: int) -> None:
     """Write into the rows of ``block`` the free values of the candidates
-    lo, lo + 1, ..., one column each, as _decode_values gives them. ``size``
-    bounds the columns; the fast-changing digits are slices of a cached
-    pattern, and a slow one takes at most 2r + 3 runs of one value."""
+    lo, lo + 1, ..., one column each: row p holds free value p, the
+    base-(2r+1) digit p of the id, most significant first, minus r. Id order
+    is exactly the lexicographic order of the value tuples. ``size`` bounds
+    the columns; the fast-changing digits are slices of a cached pattern,
+    and a slow one takes at most 2r + 3 runs of one value."""
     base = 2 * radius + 1
     free_count, count = block.shape
     for p, pattern in enumerate(_digit_patterns(radius, free_count, size)):
@@ -286,6 +280,60 @@ def _seed(problem: _Problem, state: np.ndarray) -> None:
     state[len(problem.orbits):-1] = problem.x0[:, None]
     d0 = float(problem.x0[0]) - float(problem.target[0])
     state[-1] = d0 * d0
+
+
+# Payoff elements (entries x steps x lanes) that a block of steps holds, 512
+# KB: a 16,384-lane duopoly chunk takes one step per block, 729 lanes 22.
+_PAYOFF_BLOCK = 65536
+
+
+def _payoffs(problem: _Problem, values: np.ndarray, rows) -> list:
+    """The normalized payoff entries of a block of consecutive steps, for
+    every lane whose free values are the columns of ``values``: one array
+    per entry, laid out as (step, lane).
+
+    ``rows`` holds the input rows that drive the steps, as a (step, input)
+    array; a one-step block passes its row as a list of Python floats and
+    gets (lane,) arrays, since a scalar costs less per call than a broadcast
+    array. A payoff depends on its input row and the coefficients only, so
+    the block's steps are computed together. Per element the operations are
+    those of synthesize_payoff and normalize_payoff: terms summed in input
+    order, the minimum and maximum taken over the entries in entry order,
+    then subtract and divide, and 0.5 where the range is degenerate.
+    Zero-mask terms are skipped, which can only change the sign of a zero.
+    """
+    if isinstance(rows, list):
+        y, shape = rows, values.shape[1]
+    else:
+        y = [rows[:, m, None] for m in range(problem.n_y)]  # (step, 1) columns
+        shape = (len(rows), values.shape[1])
+    pay = []
+    for entry in problem.terms:
+        if not entry:
+            pay.append(np.zeros(shape))
+            continue
+        (m, f), *rest = entry
+        acc = values[f] * y[m]
+        for m, f in rest:
+            acc += values[f] * y[m]
+        pay.append(acc)
+
+    lo = pay[0].copy()
+    rng = pay[0].copy()
+    for entry in pay[1:]:
+        np.minimum(lo, entry, out=lo)
+        np.maximum(rng, entry, out=rng)
+    rng -= lo
+    degenerate = rng < DEGENERATE_RANGE
+    flat = bool(degenerate.any())
+    if flat:
+        rng[degenerate] = 1.0
+    for entry in pay:
+        entry -= lo
+        entry /= rng
+        if flat:
+            entry[degenerate] = 0.5
+    return pay
 
 
 # Overflow and NaN show up as non-finite errors, which raise DataError.
@@ -307,81 +355,66 @@ def _advance(
     are updated in place. Mirrors the scalar path (synthesize_payoff,
     normalize_payoff, replicator_rates, advance_shares) with identical
     per-element operation order, so batch and scalar errors agree bit for
-    bit. Payoff entries are accumulated straight from the free values;
-    zero-mask terms are skipped, which can only change the sign of a zero.
+    bit.
 
-    After each step a lane whose partial error over the window length
-    exceeds ``bound`` is dropped, and so is its entry of ``ids``.
+    The payoffs do not depend on the shares, so _payoffs computes them a
+    block of steps at a time, as many steps as _PAYOFF_BLOCK elements hold
+    and at least one, and the step loop runs only the replicator update,
+    the renormalization and the error. After each step a lane whose partial error over the window
+    length exceeds ``bound`` is dropped, and so is its entry of ``ids``. A
+    run under a finite bound drops lanes after almost every step, so it
+    takes one-step blocks: no payoff is computed for a dropped lane.
     """
     n, train_len, dt = problem.n, problem.train_len, problem.dt
-    inputs = problem.inputs[start - 1:stop - 1].tolist()
     target = problem.target[start:stop].tolist()
     shares = len(problem.orbits)
     prune = bound < math.inf
+    steps = 1 if prune else max(1, _PAYOFF_BLOCK // (n * n * state.shape[1]))
+    rows = problem.inputs[start - 1:stop - 1]
+    if steps == 1:
+        blocks = rows.tolist()
+    else:
+        blocks = [rows[k:k + steps] for k in range(0, len(rows), steps)]
 
-    for y, goal in zip(inputs, target):
-        x = state[shares:-1]
-        raw = []
-        for entry in problem.terms:
-            if not entry:
-                raw.append(np.zeros(state.shape[1]))
-                continue
-            (m, f), *rest = entry
-            acc = state[f] * y[m]
-            for m, f in rest:
-                acc += state[f] * y[m]
-            raw.append(acc)
+    for b, block in enumerate(blocks):
+        pay = _payoffs(problem, state, block)
+        per_step = (pay,) if steps == 1 else zip(*pay)  # one row per entry
+        for p, goal in zip(per_step, target[b * steps:(b + 1) * steps]):
+            x = state[shares:-1]
+            fitness = []
+            for i in range(n):
+                acc = p[i * n] * x[0]
+                for j in range(1, n):
+                    acc += p[i * n + j] * x[j]
+                fitness.append(acc)
+            mean = x[0] * fitness[0]
+            for i in range(1, n):
+                mean += x[i] * fitness[i]
+            # x + dt * (x * (fitness - mean)), computed in place over fitness
+            nxt = fitness
+            for i in range(n):
+                nxt[i] -= mean
+                nxt[i] *= x[i]
+                nxt[i] *= dt
+                nxt[i] += x[i]
+                np.clip(nxt[i], 0.0, 1.0, out=nxt[i])
+            total = nxt[0] + nxt[1]
+            for i in range(2, n):
+                total += nxt[i]
+            for i in range(n):
+                np.divide(nxt[i], total, out=x[i])
 
-        lo = raw[0].copy()
-        rng = raw[0].copy()
-        for entry in raw[1:]:
-            np.minimum(lo, entry, out=lo)
-            np.maximum(rng, entry, out=rng)
-        rng -= lo
-        degenerate = rng < DEGENERATE_RANGE
-        flat = bool(degenerate.any())
-        if flat:
-            rng[degenerate] = 1.0
-        for entry in raw:
-            entry -= lo
-            entry /= rng
-            if flat:
-                entry[degenerate] = 0.5
-
-        fitness = []  # raw now holds the normalized payoff entries
-        for i in range(n):
-            acc = raw[i * n] * x[0]
-            for j in range(1, n):
-                acc += raw[i * n + j] * x[j]
-            fitness.append(acc)
-        mean = x[0] * fitness[0]
-        for i in range(1, n):
-            mean += x[i] * fitness[i]
-        # x + dt * (x * (fitness - mean)), computed in place over fitness
-        nxt = fitness
-        for i in range(n):
-            nxt[i] -= mean
-            nxt[i] *= x[i]
-            nxt[i] *= dt
-            nxt[i] += x[i]
-            np.clip(nxt[i], 0.0, 1.0, out=nxt[i])
-        total = nxt[0] + nxt[1]
-        for i in range(2, n):
-            total += nxt[i]
-        for i in range(n):
-            np.divide(nxt[i], total, out=x[i])
-
-        d = x[0] - goal
-        d *= d
-        state[-1] += d
-        if prune:
-            # written so that a NaN partial error is kept and reported
-            keep = ~(state[-1] / train_len > bound)
-            if not keep.all():
-                state = state[:, keep]
-                ids = ids[keep]
-                if not ids.size:
-                    break
+            d = x[0] - goal
+            d *= d
+            state[-1] += d
+            if prune:
+                # written so that a NaN partial error is kept and reported
+                keep = ~(state[-1] / train_len > bound)
+                if not keep.all():
+                    state = state[:, keep]
+                    ids = ids[keep]
+                    if not ids.size:
+                        return state, ids
     return state, ids
 
 
@@ -444,9 +477,9 @@ class _Chunk(NamedTuple):
 
 
 def _score_chunk(search: _Search, lo: int) -> _Chunk:
-    free_count = len(search.problem.orbits)
     hi = min(lo + search.chunk_size, search.total)
-    values = _decode_values(lo, hi, search.radius, free_count)
+    values = np.empty((len(search.problem.orbits), hi - lo))
+    _write_values(values, lo, search.radius, min(search.chunk_size, search.total))
     train, shares = _chunk_errors(search.problem, values, first=lo)
     best = int(np.argmin(train))
     error = float(train[best])
@@ -455,7 +488,7 @@ def _score_chunk(search: _Search, lo: int) -> _Chunk:
         rows = train
     elif search.rows == _TEXT:
         rows = _dump_text(lo, values, train, search.radius)
-    return _Chunk(lo, error, lo + best, tuple(values[:, best].tolist()),
+    return _Chunk(lo, error, lo + best, tuple(int(v) for v in values[:, best].tolist()),
                   tuple(shares[:, best].tolist()), int(np.count_nonzero(train == error)), rows)
 
 

@@ -1,10 +1,10 @@
 """Tests for the grid-search learner."""
 
 import contextlib
+import dataclasses
 import json
 import math
 import re
-import sys
 import tempfile
 import threading
 import time
@@ -21,7 +21,13 @@ from marketdyn.dataset import MarketDataset
 from marketdyn.dynamics import SharesState
 from marketdyn.errors import ConfigError, DataError
 from marketdyn import learn
-from marketdyn.influence import ConstraintSpec, InfluenceMatrix, InputVector, alpha_from_dict
+from marketdyn.influence import (
+    CONSTRAINT_MODES,
+    ConstraintSpec,
+    InfluenceMatrix,
+    InputVector,
+    alpha_from_dict,
+)
 from marketdyn.learn import (
     REPORT_FORMAT,
     FitReport,
@@ -62,6 +68,15 @@ def chunk_size(size):
         yield
 
 
+@contextlib.contextmanager
+def payoff_block(elements):
+    """Compute the payoffs in blocks of at most ``elements`` entries x steps
+    x lanes (at least one step)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learn, "_PAYOFF_BLOCK", elements)
+        yield
+
+
 def count_submissions(monkeypatch):
     """List that records (executor class name, chunk start) for every chunk
     submitted to a thread or process pool, in submission order."""
@@ -82,6 +97,15 @@ def decode(rank, radius, free_count=6):
         rank, digit = divmod(rank, 2 * radius + 1)
         digits.append(digit - radius)
     return tuple(reversed(digits))
+
+
+def decoded_block(lo, count, radius, free_count):
+    """Free values of the candidates lo .. lo + count - 1 by divmod, one
+    column each."""
+    block = np.empty((free_count, count), dtype=np.int64)
+    for k in range(count):
+        block[:, k] = decode(lo + k, radius, free_count)
+    return block
 
 
 def rank_of(values, radius):
@@ -313,11 +337,15 @@ class TestNonFiniteErrors:
 
 
 class TestPruning:
-    @pytest.mark.parametrize("workers, chunk", [(1, 1), (2, 1), (2, 3), (2, 64), (4, 2)])
+    # A payoff block holds three steps of ``lanes`` lanes. Of the unbounded
+    # runs (2 screening steps, then 5 finishing steps) those at chunk 64
+    # take one-step blocks, the finishing run at (1, 1) blocks of 3 steps,
+    # an odd length short of its window, and the rest one block per run.
+    @pytest.mark.parametrize("lanes, chunk", [(1, 1), (2, 1), (2, 3), (2, 64), (4, 2)])
     @pytest.mark.parametrize("frozen", [False, True])
-    def test_fit_matches_the_full_table(self, workers, chunk, frozen):
+    def test_fit_matches_the_full_table(self, lanes, chunk, frozen):
         """Pruned candidates read +inf; a chunk pruned to nothing must not
-        add ties, whatever order the workers finish in."""
+        add ties."""
         dataset = planted_dataset()
         scored = dataset
         if frozen:
@@ -328,13 +356,8 @@ class TestPruning:
                                    inputs=dataset.inputs, ownership=dataset.ownership)
         table = train_error_table(scored, GridSpec(1), DUOPOLY_SPEC, 0.2)
         search = fit_constant_market if frozen else fit
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the workers as finely as possible
-        try:
-            with chunk_size(chunk):
-                report = search(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2, workers=workers)
-        finally:
-            sys.setswitchinterval(interval)
+        with chunk_size(chunk), payoff_block(4 * 3 * lanes):
+            report = search(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2)
         best = float(table.min())
         assert report.train_error == best
         assert report.tie_class_size == int(np.count_nonzero(table == best))
@@ -423,7 +446,7 @@ class TestPooledSearch:
         lo = min(max(edge - data.draw(st.integers(0, count)), 0), total - count)
         block = np.full((free_count, count), np.nan)
         learn._write_values(block, lo, radius, size)
-        assert np.array_equal(block, learn._decode_values(lo, lo + count, radius, free_count))
+        assert np.array_equal(block, decoded_block(lo, count, radius, free_count))
 
     @pytest.mark.parametrize("chunk", [64, 100, 1000])
     def test_needle_in_the_last_chunk(self, chunk):
@@ -485,6 +508,92 @@ class TestPooledSearch:
         assert chunk.index == 4 and chunk.ties == 2
         assert chunk.values == (3,) * 6 and chunk.shares == (0.4, 0.0)
         assert chunk.error == 1.0 / problem.train_len
+
+
+def kernel_problem(data, n_y, rows, dt, scale):
+    """A random two-strategy problem whose training window is ``rows`` rows,
+    some of its input rows zero, the rest scaled to at most ``scale``."""
+    row = st.one_of(st.just([0.0] * n_y),
+                    st.lists(st.floats(-1.0, 1.0), min_size=n_y, max_size=n_y))
+    inputs = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows))) * scale
+    share1 = data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows))
+    ownership = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n_y, max_size=n_y)))
+    spec = ConstraintSpec(mode=data.draw(st.sampled_from(CONSTRAINT_MODES)), swap=(0, 1),
+                          input_pairing=tuple(range(n_y)), ownership=ownership)
+    pad = max(0, 5 - rows)  # the shortest dataset that splits
+    dataset = make_dataset(share1 + share1[-1:] * pad,
+                           np.vstack([inputs, np.zeros((pad, n_y))]), ownership)
+    problem = learn._build_problem(dataset, spec, 0.2, dt)
+    return dataclasses.replace(problem, train_len=rows)
+
+
+def draw_values(data, free, lanes, radius):
+    """A (free value, lane) block of integers in [-radius, radius]."""
+    return np.array(data.draw(st.lists(
+        st.lists(st.integers(-radius, radius), min_size=lanes, max_size=lanes),
+        min_size=free, max_size=free)), dtype=float)
+
+
+class TestKernelBlocks:
+    """The payoff block length changes no bit of what _advance returns."""
+
+    LENGTHS = (1, 2, 3, 7, None)  # steps per block; None for the default
+
+    @staticmethod
+    def block_elements(problem, lanes, steps):
+        if steps is None:
+            return learn._PAYOFF_BLOCK
+        return problem.n * problem.n * lanes * steps
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_y=st.integers(1, 4), radius=st.integers(0, 2),
+           rows=st.integers(3, 40), dt=st.floats(0.0, 1.0, exclude_min=True))
+    def test_state_and_ids_are_bit_identical(self, data, n_y, radius, rows, dt):
+        problem = kernel_problem(data, n_y, rows, dt, 3.0)
+        lanes = data.draw(st.integers(1, 30))
+        free = len(problem.orbits)
+        start = np.empty((free + problem.n + 1, lanes))
+        start[:free] = draw_values(data, free, lanes, radius)
+        learn._seed(problem, start)
+
+        def run(steps, bound):
+            with payoff_block(self.block_elements(problem, lanes, steps)):
+                state, ids = learn._advance(problem, start.copy(), np.arange(lanes),
+                                            1, rows, bound)
+            return state.tobytes(), ids.tolist()
+
+        unbounded = run(None, math.inf)
+        # a bound from the final errors, under which some lanes or all drop
+        finals = np.frombuffer(unbounded[0]).reshape(start.shape)[-1] / rows
+        bound = float(np.quantile(finals, data.draw(st.floats(0.0, 1.0))))
+        bound *= data.draw(st.sampled_from([0.5, 1.0]))
+        bounded = run(None, bound)
+        for steps in self.LENGTHS:
+            assert run(steps, math.inf) == unbounded
+            assert run(steps, bound) == bounded
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), n_y=st.integers(1, 4), radius=st.integers(1, 2),
+           rows=st.integers(3, 40), dt=st.floats(0.0, 1.0, exclude_min=True),
+           scale=st.floats(1e300, 1.7e308))
+    def test_non_finite_error_names_the_same_candidate(self, data, n_y, radius, rows, dt,
+                                                       scale):
+        problem = kernel_problem(data, n_y, rows, dt, scale)
+        lanes = data.draw(st.integers(1, 30))
+        values = draw_values(data, len(problem.orbits), lanes, radius)
+        first = data.draw(st.integers(0, 1000))
+
+        def named(steps):
+            with payoff_block(self.block_elements(problem, lanes, steps)):
+                try:
+                    learn._chunk_errors(problem, values, first=first)
+                except DataError as exc:
+                    return str(exc)
+            return None
+
+        expected = named(None)
+        for steps in self.LENGTHS:
+            assert named(steps) == expected
 
 
 class TestKernelProperties:
@@ -679,13 +788,14 @@ class TestDumpText:
             st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e300, math.inf]),
                       st.floats(0.0, allow_infinity=True)),
             min_size=count, max_size=count)))
-        values = learn._decode_values(lo, lo + count, radius, free_count)
+        values = decoded_block(lo, count, radius, free_count)
         line = "%d," * (free_count + 1) + "%.17g\n"
         expected = "".join(line % (lo + k, *values[:, k].tolist(), errors[k])
                            for k in range(count))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(learn, "_TABLE_LIMIT", table_limit)
-            assert learn._dump_text(lo, values, errors, radius) == expected
+            # the search passes its float block of free values
+            assert learn._dump_text(lo, values.astype(float), errors, radius) == expected
 
 
 class TestFitEscalating:
