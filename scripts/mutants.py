@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Mutation check of the grid search: each mutant is a one-line source edit
+that a named test must catch.
+
+Run from the repository root:
+
+    python3 scripts/mutants.py [REVISION]
+
+REVISION (default HEAD; any tree-ish, such as the tree id that
+`git write-tree` prints) is extracted with `git archive` into a fresh
+temporary directory (under /tmp unless TMPDIR says otherwise). The named
+tests first run there on the unedited source, and must pass. Then each
+mutant's edit is applied alone, its tests run with `pytest -x`, and the
+edit is undone. A mutant is killed when its tests fail, and survives when
+they pass. An edit whose text is not in its file exactly once does not
+apply, so a source change that moves an edited line shows up here.
+
+Each mutant names the quickest test known to kill it: a failing Hypothesis
+property can spend minutes shrinking its example. The script prints one
+line per mutant and exits 1 if any mutant survives or does not apply. It
+is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+LEARN = "src/marketdyn/learn.py"
+RUN_TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant("pruning drops a lane whose partial error equals the bound", LEARN,
+           "keep = ~(state[-1] / train_len > bound)",
+           "keep = ~(state[-1] / train_len >= bound)",
+           ("tests/test_learn.py::TestPooledSearch::test_tie_class_split_across_pools",)),
+    Mutant("the fit's merge takes a later chunk on a tie", LEARN,
+           "if best is None or chunk.error < best.error:",
+           "if best is None or chunk.error <= best.error:",
+           ("tests/test_learn.py::TestPooledSearch::test_tie_class_split_across_pools",)),
+    Mutant("the lane reduction keeps the first tied lane in run order", LEARN,
+           "lane = int(tied[np.argmin(ids[tied])])",
+           "lane = int(tied[0])",
+           ("tests/test_learn.py::TestPooledSearch::"
+            "test_lanes_out_of_id_order_reduce_to_the_smallest_minimizer",)),
+    Mutant("the degenerate-range fill reaches only a block's first step", LEARN,
+           "entry[degenerate] = 0.5",
+           "entry[:1][degenerate[:1]] = 0.5",
+           ("tests/test_learn.py::TestKernelProperties::test_table_equals_scalar_run",)),
+    Mutant("the dump's low-digit table starts at 0 whatever the first id", LEARN,
+           "start = lo % block",
+           "start = 0",
+           ("tests/test_learn.py::TestErrorDump::test_dump_bytes_match_per_row_formatting",)),
+)
+
+
+def run_tests(tree: Path, tests) -> tuple[bool, float]:
+    """Whether the tests passed in ``tree``, and the seconds they took."""
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+    )
+    if proc.returncode not in (0, 1):  # 1: tests failed; anything else is no verdict
+        raise RuntimeError(f"pytest exited {proc.returncode} on {tests}:\n{proc.stdout}{proc.stderr}")
+    return proc.returncode == 0, time.perf_counter() - started
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("revision", nargs="?", default="HEAD", help="git tree-ish to check")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.revision], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        named = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        passed, seconds = run_tests(tree, named)
+        if not passed:
+            print(f"the named tests fail on the unedited source ({seconds:.1f} s)")
+            return 1
+        failures = 0
+        for mutant in MUTANTS:
+            source = tree / mutant.path
+            text = source.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                print(f"DOES NOT APPLY  {mutant.name}: {mutant.old!r} occurs "
+                      f"{text.count(mutant.old)} times in {mutant.path}")
+                failures += 1
+                continue
+            source.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            try:
+                passed, seconds = run_tests(tree, mutant.tests)
+            finally:
+                source.write_text(text, encoding="utf-8")
+            verdict = "SURVIVED" if passed else "killed"
+            print(f"{verdict:<15} {mutant.name} ({seconds:.1f} s)")
+            failures += passed
+        print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -50,8 +50,9 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
                         help="constraint mode: full (swap symmetry plus zero mask), "
                              "cross (cross-entry equalities only), none")
     parser.add_argument("--workers", type=int, default=1,
-                        help="fork worker processes for --dump-candidates; a pruned fit "
-                             "runs in the calling thread (result is identical)")
+                        help="fork worker processes for --dump-candidates (the calling "
+                             "thread where fork is missing); a pruned fit runs in the "
+                             "calling thread (result is identical)")
     parser.add_argument("--dump-candidates", default=None, metavar="PATH",
                         help="write per-candidate training errors as CSV")
 

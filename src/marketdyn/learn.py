@@ -40,11 +40,11 @@ of lowest partial error first, to make the bound finite before the bulk of
 it runs. fit_escalating bounds each radius by the error of the one before.
 
 An every-error search shares nothing, so it runs in fork worker processes,
-where the dump text is formatted too; it stays on threads where fork is
-missing or other threads are running. Each chunk is reduced where it was
-scored, and the reductions and the dump text are consumed in candidate
-order, so the result and every output byte are the same for any worker
-count.
+where the dump text is formatted too; it runs in the calling thread where
+fork is missing or other threads are running. Each chunk is reduced where
+it was scored, and the reductions and the dump text are consumed in
+candidate order, so the result and every output byte are the same for any
+worker count.
 
 The kernel scores the training window only. Both searches carry the
 first minimizer's final training shares, and the winner's validation error
@@ -56,6 +56,7 @@ drives no state, so it is not read.
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import itertools
 import json
@@ -64,7 +65,6 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -418,25 +418,6 @@ def _advance(
     return state, ids
 
 
-def _chunk_errors(problem: _Problem, values: np.ndarray, *, first: int = 0):
-    """Training errors of a batch of candidates, each run in full, and
-    their final training shares (one row per share).
-
-    ``values`` holds one row per free value and one column per candidate,
-    whose id is ``first`` plus the column.
-    """
-    free, count = values.shape
-    state = np.empty((free + problem.n + 1, count))
-    state[:free] = values
-    _seed(problem, state)
-    state, _ = _advance(problem, state, None, 1, problem.train_len)
-    train = state[-1] / problem.train_len
-    bad = ~np.isfinite(train)
-    if bad.any():
-        raise _non_finite(first + int(np.argmax(bad)))
-    return train, state[free:-1]
-
-
 def _non_finite(candidate: int) -> DataError:
     return DataError(
         f"candidate {candidate} has a non-finite error: "
@@ -477,19 +458,22 @@ class _Chunk(NamedTuple):
 
 
 def _score_chunk(search: _Search, lo: int) -> _Chunk:
-    hi = min(lo + search.chunk_size, search.total)
-    values = np.empty((len(search.problem.orbits), hi - lo))
-    _write_values(values, lo, search.radius, min(search.chunk_size, search.total))
-    train, shares = _chunk_errors(search.problem, values, first=lo)
-    best = int(np.argmin(train))
-    error = float(train[best])
-    rows = None
+    """The reduction of the chunk starting at ``lo``, every candidate run in
+    full, with the rows the search asks for."""
+    problem = search.problem
+    free = len(problem.orbits)
+    state = np.empty((free + problem.n + 1, min(search.chunk_size, search.total - lo)))
+    _write_values(state[:free], lo, search.radius, min(search.chunk_size, search.total))
+    _seed(problem, state)
+    state, ids = _advance(problem, state, np.arange(lo, lo + state.shape[1]),
+                          1, problem.train_len)
+    chunk = _lanes_chunk(problem, state, ids)
+    train = state[-1] / problem.train_len
     if search.rows == _ERRORS:
-        rows = train
-    elif search.rows == _TEXT:
-        rows = _dump_text(lo, values, train, search.radius)
-    return _Chunk(lo, error, lo + best, tuple(int(v) for v in values[:, best].tolist()),
-                  tuple(shares[:, best].tolist()), int(np.count_nonzero(train == error)), rows)
+        return chunk._replace(rows=train)
+    if search.rows == _TEXT:
+        return chunk._replace(rows=_dump_text(lo, state[:free], train, search.radius))
+    return chunk
 
 
 _worker_search: Optional[_Search] = None  # set in each fork worker
@@ -510,40 +494,34 @@ def _evaluate_chunks(search: _Search, workers: int):
 
     Chunks share nothing, so they run in fork worker processes, which
     inherit the search instead of unpickling it; the dump text is formatted
-    there, on every core. They stay on threads where fork is missing or
-    other threads are running. Either way the chunks, and so the result,
-    are the same as with one worker.
+    there, on every core. They run in the calling thread where fork is
+    missing or other threads are running. Either way the chunks, and so the
+    result, are the same as with one worker.
     """
     starts = range(0, search.total, search.chunk_size)
     workers = min(workers, len(starts))
-    if workers <= 1:
-        for lo in starts:
-            yield _score_chunk(search, lo)
-        return
     # fork copies only the calling thread, so a lock that another thread
     # holds would stay held in the workers: fork a single-threaded process
     # only.
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        task = functools.partial(_score_chunk, search)
-    else:
-        # Imported here: at module level they would add about 15 ms to
-        # every CLI start.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        for lo in starts:
+            yield _score_chunk(search, lo)
+        return
+    # Imported here: at module level they would add about 15 ms to every
+    # CLI start.
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(search,),
-        )
-        task = _worker_chunk
-    with pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(search,),
+    ) as pool:
         # A bounded window of futures, consumed in submission order, keeps
         # finished chunks from piling up behind a slow consumer.
         pending = deque()
         try:
             for lo in starts:
-                pending.append(pool.submit(task, lo))
+                pending.append(pool.submit(_worker_chunk, lo))
                 if len(pending) >= 2 * workers:
                     yield pending.popleft().result()
             while pending:
@@ -647,16 +625,11 @@ def _pooled_chunks(search: _Search, bound: float = math.inf):
             yield chunk
 
 
-# Entries per formatter table: at most the square root of the largest
-# search, so a table stays small next to the chunks it formats.
-_TABLE_LIMIT = math.isqrt(MAX_CANDIDATES)
-
-
 @functools.lru_cache(maxsize=4)
-def _value_strings(radius: int, digits: int, prefix: str = "") -> list[str]:
-    """``prefix`` + "v,...," for every tuple of ``digits`` values in
-    [-radius, radius]; entry k is the tuple whose base-(2r+1) digits spell k."""
-    line = prefix + "%d," * digits
+def _value_strings(radius: int, digits: int) -> list[str]:
+    """"v,...," for every tuple of ``digits`` values in [-radius, radius];
+    entry k is the tuple whose base-(2r+1) digits spell k."""
+    line = "%d," * digits
     return [line % t for t in itertools.product(range(-radius, radius + 1), repeat=digits)]
 
 
@@ -665,33 +638,28 @@ def _dump_text(lo: int, values: np.ndarray, train: np.ndarray, radius: int) -> s
     the columns of ``values``: id, free values, training error, each line
     equal to ("%d," * (free + 1) + "%.17g\n") % row.
 
-    The free values come from two tables, indexed by the high free // 2
-    and the low remaining base-(2r+1) digits of the id. Each high entry
-    covers a run of consecutive ids and the low entries repeat in order, so
-    only the id and the error are formatted per line.
+    The low free // 2 base-(2r+1) digits of the id come from a table of at
+    most sqrt(MAX_CANDIDATES) entries, which repeat in order. The high
+    digits are formatted once per run of consecutive ids that shares them,
+    from the run's first column. So only the id and the error are
+    formatted per line.
     """
     free_count, count = values.shape
-    errors = train.tolist()
-    high_digits = free_count // 2
-    # Consecutive ids that share their high digits. The high table has at
-    # most sqrt(total) entries; the low one can have more, at odd free counts.
-    block = (2 * radius + 1) ** (free_count - high_digits)
-    if block > _TABLE_LIMIT:
-        line = "%d," * (free_count + 1) + "%.17g\n"
-        rows = zip(range(lo, lo + count), *values.tolist(), errors)
-        return "".join([line % row for row in rows])
-    low = _value_strings(radius, free_count - high_digits)
-    high = _value_strings(radius, high_digits, ",")  # with the comma after the id
-    hi = lo + count
+    low_digits = free_count // 2
+    block = (2 * radius + 1) ** low_digits  # consecutive ids that share their high digits
+    firsts = [0, *range(block - lo % block, count, block)]  # each run's first column
+    line = "," + "%d," * (free_count - low_digits)  # with the comma after the id
+    high = [line % tuple(v) for v in values[:free_count - low_digits, firsts].T.tolist()]
     high_column = []
-    for h in range(lo // block, (hi - 1) // block + 1):
-        high_column += [high[h]] * (min(hi, (h + 1) * block) - max(lo, h * block))
+    for text, first, end in zip(high, firsts, firsts[1:] + [count]):
+        high_column += [text] * (end - first)
+    low = _value_strings(radius, low_digits)
     start = lo % block
     parts = [None] * (4 * count)
-    parts[0::4] = map(str, range(lo, hi))
+    parts[0::4] = map(str, range(lo, lo + count))
     parts[1::4] = high_column
     parts[2::4] = (low * (count // block + 2))[start:start + count]
-    parts[3::4] = map("%.17g\n".__mod__, errors)
+    parts[3::4] = map("%.17g\n".__mod__, train.tolist())
     return "".join(parts)
 
 
@@ -735,6 +703,8 @@ def _replaced_on_success(path):
         yield None
         return
     target = Path(path)
+    if target.is_dir():  # else found only when the finished file replaces it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     # A random name opened exclusively, with the mode a plain open gives.
     temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
     try:

@@ -110,7 +110,7 @@ class TestFitCommand:
             assert os.getpid() != parent, "the search ran in the test process"
             os._exit(1)
 
-        monkeypatch.setattr(learn, "_chunk_errors", die)
+        monkeypatch.setattr(learn, "_advance", die)
         monkeypatch.setattr(learn, "_CHUNK_SIZE", 100)
         rc = cli.main(["fit", "--data", str(planted_csv), "--r", "1", "--workers", "2",
                        "--dump-candidates", str(tmp_path / "errors.csv"),
@@ -388,3 +388,16 @@ class TestEquilibriaCommand:
 def test_missing_subcommand_fails():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+def test_import_loads_no_worker_pool_module():
+    """The pool modules cost every CLI start their import time; only a
+    search that forks workers imports them."""
+    pools = ("multiprocessing", "concurrent.futures.process", "concurrent.futures.thread")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, marketdyn.cli; print(' '.join(m for m in %r if m in sys.modules))" % (pools,)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

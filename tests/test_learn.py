@@ -415,7 +415,7 @@ class TestPruning:
             release.set()
             other.join(30)
         assert not other.is_alive()
-        assert {pool for pool, _ in submitted} == {"ThreadPoolExecutor"}
+        assert submitted == []
         assert np.array_equal(table, expected)
 
 
@@ -580,13 +580,18 @@ class TestKernelBlocks:
                                                        scale):
         problem = kernel_problem(data, n_y, rows, dt, scale)
         lanes = data.draw(st.integers(1, 30))
-        values = draw_values(data, len(problem.orbits), lanes, radius)
+        free = len(problem.orbits)
+        start = np.empty((free + problem.n + 1, lanes))
+        start[:free] = draw_values(data, free, lanes, radius)
+        learn._seed(problem, start)
         first = data.draw(st.integers(0, 1000))
 
         def named(steps):
             with payoff_block(self.block_elements(problem, lanes, steps)):
                 try:
-                    learn._chunk_errors(problem, values, first=first)
+                    state, ids = learn._advance(problem, start.copy(),
+                                                np.arange(first, first + lanes), 1, rows)
+                    learn._lanes_chunk(problem, state, ids)
                 except DataError as exc:
                     return str(exc)
             return None
@@ -605,19 +610,28 @@ class TestKernelProperties:
         dt=st.floats(0.0, 1.0, exclude_min=True),
     )
     def test_table_equals_scalar_run(self, data, radius, length, dt):
+        """Besides rows uniform in [-3, 3], zero rows and rows within 1e-13
+        of zero, whose payoff ranges fall on both sides of the degenerate
+        range. Every candidate is checked at radius 1 or less."""
         unit = st.floats(0.0, 1.0)
         share1 = data.draw(st.lists(unit, min_size=length, max_size=length))
-        inputs = np.array(data.draw(st.lists(
-            st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
-            min_size=length, max_size=length)))
+        row = st.one_of(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+                        st.just([0.0] * 4),
+                        st.lists(st.floats(-1e-13, 1e-13), min_size=4, max_size=4))
+        inputs = np.array(data.draw(st.lists(row, min_size=length, max_size=length)))
         dataset = make_dataset(share1, inputs)
         (_, train_len), _ = split(dataset, 0.2)
         table = train_error_table(dataset, GridSpec(radius), DUOPOLY_SPEC, 0.2, dt=dt)
-        for _ in range(3):
-            values = tuple(data.draw(st.lists(st.integers(-radius, radius),
-                                              min_size=6, max_size=6)))
+        if radius <= 1:
+            ranks = range(table.size)
+        else:
+            ranks = [rank_of(data.draw(st.lists(st.integers(-radius, radius),
+                                                min_size=6, max_size=6)), radius)
+                     for _ in range(3)]
+        for rank in ranks:
+            values = decode(rank, radius)
             expected = scalar_train_error(dataset, duopoly_alpha(values), train_len, dt)
-            assert table[rank_of(values, radius)] == expected
+            assert table[rank] == expected
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -769,18 +783,33 @@ class TestErrorDump:
             fit(planted_dataset(), GridSpec(1), DUOPOLY_SPEC, 0.2, error_dump=path)
         assert info.value.filename == str(path)
 
+    def test_directory_dump_path_fails_before_the_search(self, tmp_path, monkeypatch):
+        def searched(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(learn, "_advance", searched)
+        path = tmp_path / "adir"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            fit(planted_dataset(), GridSpec(1), DUOPOLY_SPEC, 0.2, error_dump=path)
+        assert info.value.filename == str(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
 
 class TestDumpText:
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), radius=st.integers(0, 3), free_count=st.integers(0, 8),
-           table_limit=st.sampled_from([learn._TABLE_LIMIT, 1]))
-    def test_equals_per_row_formatting(self, data, radius, free_count, table_limit):
+    @given(data=st.data(),
+           shape=st.one_of(st.tuples(st.integers(0, 3), st.integers(0, 8)),
+                           st.sampled_from([(11, 5), (231, 3)])))
+    def test_equals_per_row_formatting(self, data, shape):
         """Ranges that start and end on either side of a block of ids that
         share their high digits, errors from zero through subnormals to
-        inf; with a table limit of 1 the rows are formatted one by one."""
+        inf; among the (radius, free count) shapes, odd free counts whose
+        high digits span a wide range."""
+        radius, free_count = shape
         base = 2 * radius + 1
         total = base**free_count
-        block = base ** (free_count - free_count // 2)
+        block = base ** (free_count // 2)
         count = data.draw(st.integers(1, min(total, 2 * block + 3, 600)))
         edge = block * data.draw(st.integers(0, total // block))
         lo = min(max(edge - data.draw(st.integers(0, count)), 0), total - count)
@@ -792,10 +821,8 @@ class TestDumpText:
         line = "%d," * (free_count + 1) + "%.17g\n"
         expected = "".join(line % (lo + k, *values[:, k].tolist(), errors[k])
                            for k in range(count))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(learn, "_TABLE_LIMIT", table_limit)
-            # the search passes its float block of free values
-            assert learn._dump_text(lo, values.astype(float), errors, radius) == expected
+        # the search passes its float block of free values
+        assert learn._dump_text(lo, values.astype(float), errors, radius) == expected
 
 
 class TestFitEscalating:
