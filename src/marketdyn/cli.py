@@ -9,8 +9,11 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -121,6 +124,20 @@ def _validate_grid(args) -> None:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
 
 
+def _check_outputs(*paths) -> None:
+    """Reject an output path that is a directory or whose parent directory
+    is missing, before any work: found after the work, it would fail a run
+    that had already written its other outputs."""
+    for path in paths:
+        if path is None:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        if not target.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "no directory for the output", str(target))
+
+
 def _load_and_scale(args) -> tuple[ds.MarketDataset, ds.MarketDataset, int]:
     """Load the dataset, split, and scale inputs off the training window."""
     raw = ds.load_csv(args.data)
@@ -190,6 +207,7 @@ def _cmd_fit(args) -> int:
         raise ConfigError(f"max-r {args.max_r} is below r {args.r}")
     if args.auto_r and args.dump_candidates is not None:
         raise ConfigError("--dump-candidates cannot be combined with --auto-r")
+    _check_outputs(args.out)
     _, scaled, _ = _load_and_scale(args)
     constraints = _constraints_for(scaled, args.constraints)
     if args.auto_r:
@@ -211,6 +229,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     _validate_common(args)
+    _check_outputs(args.out, args.svg)
     _, scaled, train_len = _load_and_scale(args)
     alpha = _load_alpha_for(args.alpha, scaled)
     trajectory = simulate.run(simulate.observed_scenario(scaled, dt=args.dt), alpha)
@@ -226,6 +245,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_scenario(args) -> int:
     _validate_common(args)
     _validate_grid(args)
+    _check_outputs(args.out, args.svg, args.alpha_out)
     raw, scaled, train_len = _load_and_scale(args)
 
     if args.kind == "constant-market":

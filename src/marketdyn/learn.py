@@ -46,10 +46,9 @@ it was scored, and the reductions and the dump text are consumed in
 candidate order, so the result and every output byte are the same for any
 worker count.
 
-The kernel scores the training window only. Both searches carry the
-first minimizer's final training shares, and the winner's validation error
-comes from the reference simulator's step, simulate.step, iterated from
-there over the input rows that lead to the holdout states; the last row
+Both searches carry the first minimizer's final training shares, and the
+kernel continues the winner's lane from there over the input rows that lead
+to the holdout states, so one engine scores both windows; the last row
 drives no state, so it is not read.
 """
 
@@ -72,7 +71,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dataset import MarketDataset
-from .dynamics import SharesState
 from .errors import ConfigError, DataError
 from .influence import (
     DEGENERATE_RANGE,
@@ -83,7 +81,6 @@ from .influence import (
     build_constraints,
     free_orbits,
 )
-from .simulate import step
 
 REPORT_FORMAT = "fit-report/1"
 DEFAULT_HOLDOUT = 0.2
@@ -287,52 +284,42 @@ def _seed(problem: _Problem, state: np.ndarray) -> None:
 _PAYOFF_BLOCK = 65536
 
 
-def _payoffs(problem: _Problem, values: np.ndarray, rows) -> list:
+def _payoffs(problem: _Problem, values: np.ndarray, rows) -> np.ndarray:
     """The normalized payoff entries of a block of consecutive steps, for
     every lane whose free values are the columns of ``values``: one array
-    per entry, laid out as (step, lane).
+    laid out as (entry, step, lane).
 
     ``rows`` holds the input rows that drive the steps, as a (step, input)
     array; a one-step block passes its row as a list of Python floats and
-    gets (lane,) arrays, since a scalar costs less per call than a broadcast
-    array. A payoff depends on its input row and the coefficients only, so
-    the block's steps are computed together. Per element the operations are
-    those of synthesize_payoff and normalize_payoff: terms summed in input
-    order, the minimum and maximum taken over the entries in entry order,
+    gets an (entry, lane) array, since a scalar costs less per call than a
+    broadcast array. A payoff depends on its input row and the coefficients
+    only, so the block's steps are computed together. Per element the
+    operations are those of synthesize_payoff and normalize_payoff: terms
+    summed in input order, the minimum and maximum taken over the entries,
     then subtract and divide, and 0.5 where the range is degenerate.
     Zero-mask terms are skipped, which can only change the sign of a zero.
     """
     if isinstance(rows, list):
-        y, shape = rows, values.shape[1]
+        y, shape = rows, (values.shape[1],)
     else:
         y = [rows[:, m, None] for m in range(problem.n_y)]  # (step, 1) columns
         shape = (len(rows), values.shape[1])
-    pay = []
-    for entry in problem.terms:
-        if not entry:
-            pay.append(np.zeros(shape))
-            continue
-        (m, f), *rest = entry
-        acc = values[f] * y[m]
-        for m, f in rest:
-            acc += values[f] * y[m]
-        pay.append(acc)
+    pay = np.zeros((len(problem.terms), *shape))
+    for k, entry in enumerate(problem.terms):
+        if entry:
+            (m, f), *rest = entry
+            np.multiply(values[f], y[m], out=pay[k])
+            for m, f in rest:
+                pay[k] += values[f] * y[m]
 
-    lo = pay[0].copy()
-    rng = pay[0].copy()
-    for entry in pay[1:]:
-        np.minimum(lo, entry, out=lo)
-        np.maximum(rng, entry, out=rng)
+    lo = pay.min(axis=0)
+    rng = pay.max(axis=0)
     rng -= lo
     degenerate = rng < DEGENERATE_RANGE
-    flat = bool(degenerate.any())
-    if flat:
-        rng[degenerate] = 1.0
-    for entry in pay:
-        entry -= lo
-        entry /= rng
-        if flat:
-            entry[degenerate] = 0.5
+    pay -= lo
+    pay /= rng
+    if degenerate.any():
+        pay[:, degenerate] = 0.5
     return pay
 
 
@@ -346,8 +333,9 @@ def _advance(
     stop: int,
     bound: float = math.inf,
 ):
-    """Run training steps start .. stop - 1 on a block of candidates; return
-    the lanes still in it and their ids.
+    """Run steps start .. stop - 1 on a block of candidates, adding each
+    step's squared error against the target to the error sum; return the
+    lanes still in it and their ids.
 
     ``state`` holds one column ("lane") per candidate, laid out as struct of
     arrays: one row per free value, then one per share, then the error sum,
@@ -359,11 +347,13 @@ def _advance(
 
     The payoffs do not depend on the shares, so _payoffs computes them a
     block of steps at a time, as many steps as _PAYOFF_BLOCK elements hold
-    and at least one, and the step loop runs only the replicator update,
-    the renormalization and the error. After each step a lane whose partial error over the window
-    length exceeds ``bound`` is dropped, and so is its entry of ``ids``. A
-    run under a finite bound drops lanes after almost every step, so it
-    takes one-step blocks: no payoff is computed for a dropped lane.
+    and at least one. The step loop runs only the replicator update, the
+    renormalization and the error, each operation once on the whole
+    (strategy, lane) share array. After each step a lane whose partial
+    error over the training length exceeds ``bound`` is dropped, and so is
+    its entry of ``ids``. A run under a finite bound drops lanes after
+    almost every step, so it takes one-step blocks: no payoff is computed
+    for a dropped lane.
     """
     n, train_len, dt = problem.n, problem.train_len, problem.dt
     target = problem.target[start:stop].tolist()
@@ -378,31 +368,26 @@ def _advance(
 
     for b, block in enumerate(blocks):
         pay = _payoffs(problem, state, block)
-        per_step = (pay,) if steps == 1 else zip(*pay)  # one row per entry
+        per_step = (pay,) if steps == 1 else pay.swapaxes(0, 1)  # (entry, lane) each
         for p, goal in zip(per_step, target[b * steps:(b + 1) * steps]):
             x = state[shares:-1]
-            fitness = []
-            for i in range(n):
-                acc = p[i * n] * x[0]
-                for j in range(1, n):
-                    acc += p[i * n + j] * x[j]
-                fitness.append(acc)
+            # row i: sum over j of p[i * n + j] * x[j], j ascending
+            fitness = p[0::n] * x[0]
+            for j in range(1, n):
+                fitness += p[j::n] * x[j]
             mean = x[0] * fitness[0]
             for i in range(1, n):
                 mean += x[i] * fitness[i]
             # x + dt * (x * (fitness - mean)), computed in place over fitness
-            nxt = fitness
-            for i in range(n):
-                nxt[i] -= mean
-                nxt[i] *= x[i]
-                nxt[i] *= dt
-                nxt[i] += x[i]
-                np.clip(nxt[i], 0.0, 1.0, out=nxt[i])
-            total = nxt[0] + nxt[1]
+            fitness -= mean
+            fitness *= x
+            fitness *= dt
+            fitness += x
+            np.clip(fitness, 0.0, 1.0, out=fitness)
+            total = fitness[0] + fitness[1]
             for i in range(2, n):
-                total += nxt[i]
-            for i in range(n):
-                np.divide(nxt[i], total, out=x[i])
+                total += fitness[i]
+            np.divide(fitness, total, out=x)
 
             d = x[0] - goal
             d *= d
@@ -775,18 +760,13 @@ def _fit_common(
             problem.n, problem.n_y, problem.zero_mask, problem.symmetry_pairs, best.values
         )
         # The winner's holdout states continue from its final training
-        # shares, which the kernel computes as the scalar step does.
-        predicted = []
-        try:
-            x = SharesState._of_floats(best.shares)
-            # Overflow surfaces as a non-finite payoff or share, which raises.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for t in range(problem.train_len, problem.total_len):
-                    x = step(x, problem.inputs[t - 1], best_alpha, dt)[0]
-                    predicted.append(x.floats[0])
-        except (ValueError, ArithmeticError) as exc:
-            raise _non_finite(best.index) from exc
-        validation_error = mse(predicted, problem.target[problem.train_len:])
+        # shares, in the kernel, from an error sum of zero.
+        state = np.array([*best.values, *best.shares, 0.0])[:, None]
+        state, _ = _advance(problem, state, np.array([best.index]), problem.train_len,
+                            problem.total_len)
+        validation_error = float(state[-1, 0]) / (problem.total_len - problem.train_len)
+        if not math.isfinite(validation_error):
+            raise _non_finite(best.index)
 
     return FitReport(
         best_alpha=best_alpha,
@@ -794,7 +774,7 @@ def _fit_common(
         free_layout=problem.layout,
         best_values=best.values,
         train_error=best.error,
-        validation_error=float(validation_error),
+        validation_error=validation_error,
         tie_class_size=tie_count,
         candidates_evaluated=search.total,
         radius=grid.radius,

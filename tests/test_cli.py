@@ -198,6 +198,17 @@ class TestFitCommand:
         assert dump.read_bytes() == b"an earlier dump\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["errors.csv", "huge.csv"]
 
+    def test_directory_report_path_fails_before_the_dump(self, planted_csv, tmp_path):
+        dump = tmp_path / "errors.csv"
+        dump.write_bytes(b"an earlier dump\n")
+        (tmp_path / "report").mkdir()
+        proc = run_cli("fit", "--data", planted_csv, "--r", 1, "--out", tmp_path / "report",
+                       "--dump-candidates", dump)
+        assert proc.returncode == 4
+        assert f"i/o error: [Errno 21] Is a directory: '{tmp_path / 'report'}'" in proc.stderr
+        assert dump.read_bytes() == b"an earlier dump\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["errors.csv", "report"]
+
     def test_non_finite_error_target_is_config_error(self, planted_csv, tmp_path):
         proc = run_cli("fit", "--data", planted_csv, "--auto-r", "--error-target", "inf",
                        "--out", tmp_path / "r.json")
@@ -251,6 +262,20 @@ class TestSimulateCommand:
                        "--dt", "inf", "--out", tmp_path / "traj.csv")
         assert proc.returncode == 2
         assert "dt must be positive and finite" in proc.stderr
+
+    @pytest.mark.parametrize("chart", ["charts", "missing/traj.svg"])
+    def test_bad_chart_path_fails_before_the_trajectory(self, planted_csv, fit_report,
+                                                        tmp_path, chart):
+        """A chart path that is a directory, or whose directory is missing,
+        fails before the trajectory is written."""
+        (tmp_path / "charts").mkdir()
+        out = tmp_path / "traj.csv"
+        proc = run_cli("simulate", "--data", planted_csv, "--alpha", fit_report,
+                       "--out", out, "--svg", tmp_path / chart)
+        assert proc.returncode == 4
+        assert f"'{tmp_path / chart}'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_writes_trajectory_and_chart(self, planted_csv, fit_report, tmp_path):
         out = tmp_path / "traj.csv"

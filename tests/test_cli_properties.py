@@ -1,0 +1,111 @@
+"""The CLI as a property: over small generated datasets, `cli.main` (run
+in-process) exits 0, 2, 3 or 4 without a traceback, writes trajectories on
+the simplex, and writes the same fit report for one and two workers."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from marketdyn import cli
+from marketdyn.influence import ConstraintSpec, InfluenceMatrix, build_constraints, save_alpha
+
+EXIT_CODES = {0, 2, 3, 4}
+
+# A number: a value in [-1, 1] times a power of ten from 1e-300 to 1e300.
+magnitude = st.builds(lambda v, e: v * 10.0**e, st.floats(-1.0, 1.0), st.integers(-300, 300))
+non_finite = st.sampled_from(["nan", "inf", "-inf"])
+
+
+@st.composite
+def market_csv(draw):
+    """CSV text of a duopoly with n_y in {2, 4} and 5 to 12 rows; its n_y.
+
+    Each input column has one power of ten or is constant. Some tables have
+    two labels swapped, a share sum off by 1e-9, or one non-finite cell."""
+    n_y = draw(st.sampled_from([2, 4]))
+    rows = draw(st.integers(5, 12))
+    table = []
+    for k in range(rows):
+        share1 = draw(st.floats(0.0, 1.0))
+        off = draw(st.sampled_from([0.0, 0.0, 1e-9, -1e-9]))  # the share sum's error
+        table.append([f"t{k:02d}", repr(share1), repr(1.0 - share1 + off)])
+    for _ in range(n_y):
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        if draw(st.booleans()):
+            column = [draw(magnitude)] * rows
+        else:
+            column = [draw(st.floats(-1.0, 1.0)) * scale for _ in range(rows)]
+        for row, value in zip(table, column):
+            row.append(repr(value))
+    if draw(st.integers(0, 4)) == 0:
+        a, b = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
+        table[a][0], table[b][0] = table[b][0], table[a][0]
+    if draw(st.integers(0, 4)) == 0:
+        table[draw(st.integers(0, rows - 1))][draw(st.integers(1, 2 + n_y))] = draw(non_finite)
+    lines = ["label,share_1,share_2," + ",".join(f"y_{m + 1}" for m in range(n_y))]
+    lines += [",".join(row) for row in table]
+    return "\n".join(lines) + "\n", n_y
+
+
+def checked(*argv):
+    """Run ``cli.main`` in-process; check its exit code and stderr, and
+    return the code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    err = err.getvalue()
+    event(f"{argv[0]} exit {code}")
+    assert code in EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err, err
+    if code:
+        assert err.strip(), argv  # a failure says why
+    return code
+
+
+def assert_on_simplex(path):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("t,share_1,share_2,")
+    for line in lines[1:]:
+        shares = [float(v) for v in line.split(",")[1:3]]
+        assert all(0.0 <= s <= 1.0 for s in shares), line
+        assert abs(sum(shares) - 1.0) <= 1e-12, line
+
+
+@settings(max_examples=50, deadline=None)
+@given(table=market_csv(), normalize=st.booleans(),
+       values=st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+       y=st.lists(st.one_of(magnitude.map(repr), non_finite), min_size=4, max_size=4))
+def test_every_command_exits_cleanly(table, normalize, values, y):
+    text, n_y = table
+    scaling = "--normalize-inputs" if normalize else "--no-normalize-inputs"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "market.csv"
+        data.write_text(text, encoding="utf-8")
+        spec = ConstraintSpec.standard_duopoly(n_y)
+        mask, pairs = build_constraints(spec, 2, n_y)
+        alpha = tmp / "alpha.json"
+        save_alpha(InfluenceMatrix.from_free_values(2, n_y, mask, pairs, values[:3 * n_y // 2]),
+                   spec.ownership, alpha)
+
+        reports = []
+        for workers in (1, 2):
+            report = tmp / f"report{workers}.json"
+            if checked("fit", "--data", data, "--r", 1, "--workers", workers, scaling,
+                       "--out", report) == 0:
+                reports.append(report.read_bytes())
+        assert len(reports) in (0, 2)
+        if reports:
+            assert reports[0] == reports[1]
+
+        for command in (("simulate",), ("scenario", "--kind", "constant-inputs")):
+            out = tmp / "trajectory.csv"
+            out.unlink(missing_ok=True)
+            if checked(*command, "--data", data, "--alpha", alpha, scaling, "--out", out) == 0:
+                assert_on_simplex(out)
+
+        checked("equilibria", "--alpha", alpha, "--y=" + ",".join(y[:n_y]))

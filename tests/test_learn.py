@@ -512,9 +512,12 @@ class TestPooledSearch:
 
 def kernel_problem(data, n_y, rows, dt, scale):
     """A random two-strategy problem whose training window is ``rows`` rows,
-    some of its input rows zero, the rest scaled to at most ``scale``."""
+    some of its input rows zero, the rest scaled to at most ``scale``. Some
+    rows lie within 1e-13 of zero before the scaling, so that at a small
+    scale their payoff ranges fall on both sides of the degenerate range."""
     row = st.one_of(st.just([0.0] * n_y),
-                    st.lists(st.floats(-1.0, 1.0), min_size=n_y, max_size=n_y))
+                    st.lists(st.floats(-1.0, 1.0), min_size=n_y, max_size=n_y),
+                    st.lists(st.floats(-1e-13, 1e-13), min_size=n_y, max_size=n_y))
     inputs = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows))) * scale
     share1 = data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows))
     ownership = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n_y, max_size=n_y)))
