@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check of the grid search: each mutant is a one-line source edit
-that a named test must catch.
+"""Mutation check of the grid search, the loader and the chart: each mutant
+is a one-line source edit that a named test must catch.
 
 Run from the repository root:
 
@@ -33,6 +33,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 LEARN = "src/marketdyn/learn.py"
+DATASET = "src/marketdyn/dataset.py"
+SVGCHART = "src/marketdyn/svgchart.py"
 RUN_TIMEOUT_S = 900
 
 
@@ -75,6 +77,15 @@ MUTANTS = (
            "start = lo % block",
            "start = 0",
            ("tests/test_learn.py::TestErrorDump::test_dump_bytes_match_per_row_formatting",)),
+    Mutant("the share block check drops the negative-share mask", DATASET,
+           "(shares >= 0.0) & (shares <= SHARE_SUM_MAX)",
+           "(shares <= SHARE_SUM_MAX)",
+           ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
+            "test_the_first_bad_row_wins_over_a_later_row_whose_sum_overflows",)),
+    Mutant("the chart's y column computes y - y_max for y_max - y", SVGCHART,
+           "(y_max - y_col)",
+           "(y_col - y_max)",
+           ("tests/test_svgchart.py::test_polyline_points_equal_per_point_formatting",)),
 )
 
 

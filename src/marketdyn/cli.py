@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eq = sub.add_parser("equilibria", help="equilibrium structure at a frozen input vector")
     p_eq.add_argument("--alpha", required=True, help="coefficient JSON")
     p_eq.add_argument("--y", required=True,
-                      help="comma-separated input values, e.g. 0.5,0.2,0.3,0.7")
+                      help="comma-separated input values, e.g. 0.5,0.2,0.3,0.7; the first "
+                           "may be negative, as in --y -0.5,0.2,0.3,0.7")
     p_eq.set_defaults(handler=_cmd_equilibria)
 
     return parser
@@ -178,7 +179,7 @@ def _write_chart(path, trajectory: simulate.Trajectory, train_len: int | None) -
     series = []
     n = trajectory.states[0].n
     for i in range(n):
-        series.append((f"share_{i + 1}", times, list(trajectory.share_series(i))))
+        series.append((f"share_{i + 1}", times, trajectory.share_series(i).tolist()))
     boundary = None
     if train_len is not None and train_len < len(trajectory):
         boundary = (train_len - 0.5) * trajectory.dt
@@ -230,9 +231,10 @@ def _cmd_fit(args) -> int:
 def _cmd_simulate(args) -> int:
     _validate_common(args)
     _check_outputs(args.out, args.svg)
-    _, scaled, train_len = _load_and_scale(args)
+    raw, scaled, train_len = _load_and_scale(args)
     alpha = _load_alpha_for(args.alpha, scaled)
     trajectory = simulate.run(simulate.observed_scenario(scaled, dt=args.dt), alpha)
+    del raw, scaled  # released before the writers, whose text would add to its rows
     simulate.write_trajectory_csv(trajectory, args.out)
     if args.svg:
         _write_chart(args.svg, trajectory, train_len)
@@ -325,9 +327,22 @@ def _cmd_equilibria(args) -> int:
     return 0
 
 
+def _attach_y(argv: list[str]) -> list[str]:
+    """``--y VALUES`` as ``--y=VALUES`` for a list whose first value is
+    negative: argparse takes an argument that starts with '-' and is not a
+    single number for an option. No option name holds a comma."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--y" and arg.startswith("-") and "," in arg:
+            out[-1] = f"--y={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_y(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -9,7 +9,9 @@ and the raw value of each external input.
 
 from __future__ import annotations
 
+import copy
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import SharesState, _readonly
+from .dynamics import SharesState, _readonly, _simplex_rows
 from .errors import DataError
 from .influence import alternating_ownership
 
@@ -43,28 +45,14 @@ class MarketDataset:
         inputs = _readonly(self.inputs)
         if len(labels) < 2:
             raise DataError("length >= 2 required, got %d samples" % len(labels))
-        if not (len(labels) == len(self.shares) == inputs.shape[0]):
-            raise DataError(
-                f"misaligned series: {len(labels)} labels, {len(self.shares)} share rows, "
-                f"{inputs.shape[0]} input rows"
-            )
-        if inputs.ndim != 2 or inputs.shape[1] < 1:
-            raise DataError(f"inputs must be a (samples, n_y) table, got shape {inputs.shape}")
-        if not np.all(np.isfinite(inputs)):
-            raise DataError("input values must be finite")
+        _check_inputs(inputs, len(labels), len(self.shares))
         for a, b in zip(labels, labels[1:]):
             if not a < b:
                 raise DataError(f"labels must be strictly increasing, got {a!r} before {b!r}")
         n = self.shares[0].n
         if any(s.n != n for s in self.shares):
             raise DataError("all share rows must have the same number of strategies")
-        ownership = tuple(int(s) for s in self.ownership)
-        if len(ownership) != inputs.shape[1]:
-            raise DataError(
-                f"ownership length {len(ownership)} does not match {inputs.shape[1]} inputs"
-            )
-        if any(not 0 <= s < n for s in ownership):
-            raise DataError("ownership entries must be valid strategy indices")
+        ownership = _checked_ownership(self.ownership, inputs.shape[1], n)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "shares", tuple(self.shares))
         object.__setattr__(self, "inputs", inputs)
@@ -85,13 +73,35 @@ class MarketDataset:
         return np.array([s.floats[strategy] for s in self.shares])
 
     def with_inputs(self, inputs: np.ndarray) -> "MarketDataset":
-        return MarketDataset(
-            labels=self.labels,
-            shares=self.shares,
-            inputs=inputs,
-            ownership=self.ownership,
-            provenance=self.provenance,
+        """This dataset with another input table. Only the table is checked:
+        the labels, shares and ownership were checked when this one was built."""
+        table = _readonly(inputs)
+        _check_inputs(table, len(self.labels), len(self.shares))
+        _checked_ownership(self.ownership, table.shape[1], self.n)
+        dataset = copy.copy(self)
+        object.__setattr__(dataset, "inputs", table)
+        return dataset
+
+
+def _check_inputs(inputs: np.ndarray, labels: int, share_rows: int) -> None:
+    if not (labels == share_rows == inputs.shape[0]):
+        raise DataError(
+            f"misaligned series: {labels} labels, {share_rows} share rows, "
+            f"{inputs.shape[0]} input rows"
         )
+    if inputs.ndim != 2 or inputs.shape[1] < 1:
+        raise DataError(f"inputs must be a (samples, n_y) table, got shape {inputs.shape}")
+    if not np.all(np.isfinite(inputs)):
+        raise DataError("input values must be finite")
+
+
+def _checked_ownership(ownership, n_y: int, n: int) -> tuple[int, ...]:
+    ownership = tuple(int(s) for s in ownership)
+    if len(ownership) != n_y:
+        raise DataError(f"ownership length {len(ownership)} does not match {n_y} inputs")
+    if any(not 0 <= s < n for s in ownership):
+        raise DataError("ownership entries must be valid strategy indices")
+    return ownership
 
 
 @dataclass(frozen=True)
@@ -182,16 +192,17 @@ def _parse_header(fields: list[str], line_no: int) -> tuple[int, int]:
     return n, n_y
 
 
-def _read_table(source) -> tuple[list[str], int, list[str], list[tuple[int, str]]]:
+def _read_table(source) -> tuple[list[str], int, list[str], list[int], list[str]]:
     """Split a CSV table from a path or text stream into its '#' comment
     lines, its header (line number and stripped fields) and its data lines
-    (line number and text). Blank lines are skipped."""
+    (their line numbers and their texts). Blank lines are skipped."""
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text(encoding="utf-8")
     comments = []
-    rows = []
+    numbers = []
+    lines = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -199,15 +210,63 @@ def _read_table(source) -> tuple[list[str], int, list[str], list[tuple[int, str]
         if stripped.startswith("#"):
             comments.append(stripped.lstrip("#").strip())
             continue
-        rows.append((line_no, line))
-    if not rows:
+        numbers.append(line_no)
+        lines.append(line)
+    if not lines:
         raise DataError("no header row found")
-    (header_no, header), *rows = rows
-    return comments, header_no, [f.strip() for f in _fields(header)], rows
+    header = [f.strip() for f in _fields(lines[0])]
+    return comments, numbers[0], header, numbers[1:], lines[1:]
 
 
 def _fields(line: str) -> list[str]:
     return next(csv.reader((line,)))
+
+
+def _records(lines: list[str]):
+    """Each line's fields, as a csv reader of that line alone reads them.
+
+    One reader runs over all the lines. A line whose record an unclosed
+    quote carries onto the next line, or on which the reader fails, is read
+    again alone, and a new reader starts after it.
+    """
+    t = 0
+    while t < len(lines):
+        start = t
+        reader = csv.reader(itertools.islice(lines, start, None))
+        try:
+            for fields in reader:
+                if reader.line_num != t - start + 1:
+                    break
+                yield fields
+                t += 1
+            else:
+                return
+        except csv.Error:
+            pass
+        yield _fields(lines[t])
+        t += 1
+
+
+def _parse_block(lines: list[str], width: int) -> tuple[list[str], np.ndarray]:
+    """The labels and the (rows, width - 1) block of float() values of the
+    data lines, up to the first line that the csv reader rejects, that does
+    not have ``width`` fields or that has a value float() rejects. Their
+    count is that line's index."""
+    labels = []
+    values = []
+    try:
+        for fields in _records(lines):
+            if len(fields) != width:
+                break
+            try:
+                values.extend(map(float, fields[1:]))
+            except ValueError:
+                break
+            labels.append(fields[0].strip())
+    except csv.Error:
+        pass  # an earlier row's error comes first; the row check raises this one
+    del values[len(labels) * (width - 1):]  # a rejected line's leading values
+    return labels, np.array(values, dtype=float).reshape(len(labels), width - 1)
 
 
 def _parse_row(line_no: int, line: str, width: int) -> tuple[str, list[float]]:
@@ -226,6 +285,15 @@ def _parse_row(line_no: int, line: str, width: int) -> tuple[str, list[float]]:
     return fields[0].strip(), values
 
 
+def _raise_first(numbers, lines, failed: np.ndarray, parsed: int, check) -> None:
+    """Run the row check ``check(line_no, line)`` on each row that failed a
+    block check, then on the line that stopped the parse, if any: the first
+    raises that row's error, as a row-by-row load would have raised it."""
+    for t in [*np.flatnonzero(failed).tolist(), parsed]:
+        if t < len(lines):
+            check(numbers[t], lines[t])
+
+
 def load_csv(source, ownership: tuple[int, ...] | None = None) -> MarketDataset:
     """Parse a market dataset from a path or text stream.
 
@@ -235,14 +303,26 @@ def load_csv(source, ownership: tuple[int, ...] | None = None) -> MarketDataset:
     return _dataset_from_table(*_read_table(source), ownership)
 
 
-def _dataset_from_table(provenance, header_no, header, rows, ownership) -> MarketDataset:
+def _dataset_from_table(provenance, header_no, header, numbers, lines, ownership) -> MarketDataset:
     n, n_y = _parse_header(header, header_no)
-    labels: list[str] = []
-    share_rows: list[SharesState] = []
-    input_rows: list[list[float]] = []
-    for line_no, line in rows:
-        label, values = _parse_row(line_no, line, 1 + n + n_y)
-        raw_shares = values[:n]
+    width = 1 + n + n_y
+    labels, block = _parse_block(lines, width)
+    shares = block[:, :n]
+    # Rows that math.fsum may add: finite, no share negative or above the
+    # sum's upper bound. Every other row fails a check, and its sum could
+    # overflow.
+    summable = np.isfinite(block).all(axis=1) & (
+        (shares >= 0.0) & (shares <= SHARE_SUM_MAX)
+    ).all(axis=1)
+    safe = np.where(summable[:, None], shares, 0.0)
+    totals = np.array(list(map(math.fsum, zip(*safe.T.tolist()))), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = shares / totals[:, None]
+    passed = summable & (SHARE_SUM_MIN <= totals) & (totals <= SHARE_SUM_MAX)
+    passed &= _simplex_rows(normalized)
+
+    def check(line_no, line):
+        raw_shares = _parse_row(line_no, line, width)[1][:n]
         total = math.fsum(raw_shares)
         if not SHARE_SUM_MIN <= total <= SHARE_SUM_MAX:
             raise DataError(
@@ -250,18 +330,17 @@ def _dataset_from_table(provenance, header_no, header, rows, ownership) -> Marke
             )
         if any(s < 0.0 for s in raw_shares):
             raise DataError(f"line {line_no}: negative share")
-        labels.append(label)
-        share_rows.append(SharesState._of_floats([s / total for s in raw_shares]))
-        input_rows.append(values[n:])
+        SharesState._of_floats([s / total for s in raw_shares])
 
+    _raise_first(numbers, lines, ~passed, len(labels), check)
     if len(labels) < 2:
         raise DataError("length >= 2 required, got %d data rows" % len(labels))
     if ownership is None:
         ownership = alternating_ownership(n_y, n)
     return MarketDataset(
         labels=tuple(labels),
-        shares=tuple(share_rows),
-        inputs=np.array(input_rows),
+        shares=tuple(map(SharesState._of_checked, zip(*normalized.T.tolist()))),
+        inputs=block[:, n:],
         ownership=ownership,
         provenance="\n".join(provenance),
     )
@@ -292,7 +371,7 @@ def load_input_table(source) -> np.ndarray:
     """Parse an input-only series: ``label,y_1,...,y_K`` rows, or a full
     dataset file whose share columns are then ignored."""
     table = _read_table(source)
-    _, header_no, header, rows = table
+    _, header_no, header, numbers, lines = table
     if any(f.startswith("share_") for f in header):
         return _dataset_from_table(*table, None).inputs
     if header[0] != "label" or len(header) < 2:
@@ -300,10 +379,15 @@ def load_input_table(source) -> np.ndarray:
     for m, name in enumerate(header[1:]):
         if name != f"y_{m + 1}":
             raise DataError(f"line {header_no}: unexpected column {name!r}")
-    values = [_parse_row(line_no, line, len(header))[1] for line_no, line in rows]
-    if not values:
+    _, block = _parse_block(lines, len(header))
+
+    def check(line_no, line):
+        _parse_row(line_no, line, len(header))
+
+    _raise_first(numbers, lines, ~np.isfinite(block).all(axis=1), len(block), check)
+    if not len(block):
         raise DataError("input series contains no data rows")
-    return np.array(values)
+    return block
 
 
 def example_dataset_path() -> Path:

@@ -109,6 +109,15 @@ class SharesState:
         state._hold(tuple(values))
         return state
 
+    @classmethod
+    def _of_checked(cls, values: tuple[float, ...]) -> "SharesState":
+        """The state of a tuple of floats that already passed ``_hold``'s
+        checks, as the loader makes them on a whole share block with
+        ``_simplex_rows``; nothing is checked again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "floats", values)
+        return state
+
     def _hold(self, values: tuple[float, ...]) -> None:
         if not all(map(math.isfinite, values)):
             raise ValueError("shares must be finite")
@@ -134,6 +143,23 @@ class SharesState:
     @property
     def n(self) -> int:
         return len(self.floats)
+
+
+def _simplex_rows(block: np.ndarray) -> np.ndarray:
+    """Which rows of a (rows, n) float block SharesState accepts, each
+    checked as ``_hold`` checks one state, its total summed in the same
+    order: column by column from 0.0 below 8 shares, and from 8 on by
+    numpy, whose sum along the last axis of a C-contiguous block adds each
+    row as it adds the row alone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if block.shape[1] < 8:
+            total = np.zeros(len(block))
+            for column in block.T:
+                total += column
+        else:
+            total = np.ascontiguousarray(block).sum(axis=1)
+    inside = ((block >= 0.0) & (block <= 1.0)).all(axis=1)
+    return np.isfinite(block).all(axis=1) & inside & (np.abs(total - 1.0) <= SIMPLEX_TOL)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 GENERATOR_COMMENT = "<!-- marketdyn chart format 1 -->"
 
 _PALETTE = ("#1f6fb4", "#d9541e", "#3a9c4e", "#8656b8", "#b3312f", "#777777")
@@ -123,7 +125,15 @@ def line_chart(
 
     for idx, (name, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        # px and py over whole columns, each operation in their order
+        count = min(len(xs), len(ys))
+        x_col = np.asarray(xs[:count], dtype=float)
+        y_col = np.asarray(ys[:count], dtype=float)
+        xy = np.empty((count, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            xy[:, 0] = _MARGIN_LEFT + (x_col - x_min) / (x_max - x_min) * plot_w
+            xy[:, 1] = _MARGIN_TOP + (y_max - y_col) / (y_max - y_min) * plot_h
+        points = " ".join(["%.2f,%.2f"] * count) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8" points="{points}"/>'
         )

@@ -409,6 +409,14 @@ class TestEquilibriaCommand:
         proc = run_cli("equilibria", "--alpha", fit_report, "--y", "a,b,c,d")
         assert proc.returncode == 2
 
+    def test_value_list_starting_negative_follows_the_flag(self, fit_report):
+        spaced = run_cli("equilibria", "--alpha", fit_report, "--y", "-0.5,0.2,0.3,0.1")
+        joined = run_cli("equilibria", "--alpha", fit_report, "--y=-0.5,0.2,0.3,0.1")
+        assert spaced.returncode == 0, spaced.stderr
+        assert joined.returncode == 0, joined.stderr
+        assert "normalized payoff matrix:" in spaced.stdout
+        assert spaced.stdout == joined.stdout
+
 
 def test_missing_subcommand_fails():
     proc = run_cli()

@@ -1,13 +1,18 @@
 """Tests for dataset parsing, validation, and input normalization."""
 
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, ramp_inputs
 from marketdyn.dataset import (
     MarketDataset,
+    _parse_header,
     example_dataset_path,
     load_csv,
     load_example,
@@ -250,3 +255,163 @@ class TestBundledExample:
         for a, b in zip(direct.shares, example_dataset.shares):
             assert np.array_equal(a.shares, b.shares)
         assert np.array_equal(direct.inputs, example_dataset.inputs)
+
+
+def reference_rows(text: str, share_columns: bool):
+    """Labels, share rows and input rows of a table, loaded row by row as
+    the loader did before it checked the share block at once: one csv
+    reader and one checked SharesState per row, the first bad row raising."""
+    comments, rows = [], []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            comments.append(stripped.lstrip("#").strip())
+            continue
+        rows.append((line_no, line))
+    if not rows:
+        raise DataError("no header row found")
+    (header_no, header), *rows = rows
+    header = [f.strip() for f in next(csv.reader((header,)))]
+    n, n_y = _parse_header(header, header_no) if share_columns else (0, len(header) - 1)
+    labels, shares, inputs = [], [], []
+    for line_no, line in rows:
+        fields = next(csv.reader((line,)))
+        if len(fields) != 1 + n + n_y:
+            raise DataError(f"line {line_no}: expected {1 + n + n_y} fields, got {len(fields)}")
+        try:
+            values = [float(f) for f in fields[1:]]
+        except ValueError as exc:
+            raise DataError(f"line {line_no}: {exc}") from exc
+        for f, v in zip(fields[1:], values):
+            if not math.isfinite(v):
+                raise DataError(f"line {line_no}: values must be finite, got {f.strip()!r}")
+        if share_columns:
+            total = math.fsum(values[:n])
+            if not 0.9 <= total <= 1.1:
+                raise DataError(f"line {line_no}: share sum {total!r} outside [0.9, 1.1]")
+            if any(s < 0.0 for s in values[:n]):
+                raise DataError(f"line {line_no}: negative share")
+            shares.append(SharesState(np.array([s / total for s in values[:n]])).floats)
+        labels.append(fields[0].strip())
+        inputs.append(values[n:])
+    return comments, labels, shares, inputs
+
+
+_CELLS = ("nan", "inf", "-inf", " NaN ", "1_0", "abc", "", "1e999", "-1e308", "1e308")
+
+
+_FAULTS = ("none",) * 12 + ("cell", "negative", "unclosed", "count", "quoted", "sum")
+
+
+@st.composite
+def ingest_tables(draw):
+    """A dataset or input-only table near every ingest check: quoted
+    fields, an unclosed quote, a wrong field count, non-finite and
+    non-float cells, share sums at and just outside 0.9 and 1.1, negative
+    shares, blank and comment lines."""
+    n = draw(st.sampled_from((2, 3, 8, 9)))
+    n_y = draw(st.integers(1, 4))
+    share_columns = draw(st.booleans())
+    header = ["label"] + [f"share_{i + 1}" for i in range(n)] * share_columns
+    header += [f"y_{m + 1}" for m in range(n_y)]
+    lines = ["# drawn table", ",".join(header)]
+    for k in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("row",) * 6 + ("blank", "comment")))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(("", "  "))))
+            continue
+        if kind == "comment":
+            lines.append("# note, with a comma")
+            continue
+        fault = draw(st.sampled_from(_FAULTS))
+        cells = []
+        if share_columns:
+            target = draw(st.sampled_from((1.0, 0.9, 1.1) if fault != "sum" else (
+                np.nextafter(0.9, 0.0), np.nextafter(1.1, 2.0), 0.5, 1.5)))
+            weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+            scale = sum(weights) or 1.0
+            shares = [target * w / scale for w in weights]
+            if fault == "negative":
+                i = draw(st.integers(0, n - 1))
+                d = draw(st.sampled_from((1e-300, 0.01, 0.5, 1e308)))
+                shares[(i + 1) % n] += shares[i] + d
+                shares[i] = -d
+            cells += [repr(float(s)) for s in shares]
+        cells += [repr(draw(st.floats(-1e6, 1e6))) for _ in range(n_y)]
+        if fault == "cell":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_CELLS))
+        label = f"q{k:03d}"
+        fields = [f'"{label}"' if draw(st.booleans()) else label] + cells
+        if fault == "unclosed":
+            fields[draw(st.integers(1, len(fields) - 1))] = '"0.5'
+        if fault == "count":
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["0.5"]
+        if fault == "quoted":
+            fields[draw(st.integers(1, len(fields) - 1))] = '"0.25"'
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n", share_columns
+
+
+def _outcome(load):
+    try:
+        return load()
+    except DataError as exc:
+        return ("DataError", str(exc))
+    except (ValueError, ArithmeticError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _bits(rows) -> bytes:
+    return np.array(rows, dtype=float).tobytes()
+
+
+class TestIngestEqualsRowByRowLoad:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=ingest_tables())
+    def test_load_csv_and_load_input_table(self, drawn):
+        text, share_columns = drawn
+
+        def reference_dataset():
+            comments, labels, shares, inputs = reference_rows(text, share_columns)
+            if len(labels) < 2:
+                raise DataError("length >= 2 required, got %d data rows" % len(labels))
+            return labels, _bits(shares), _bits(inputs), "\n".join(comments)
+
+        def loaded_dataset():
+            dataset = load_csv(io.StringIO(text))
+            return (list(dataset.labels), _bits([s.floats for s in dataset.shares]),
+                    _bits(dataset.inputs), dataset.provenance)
+
+        def reference_table():
+            _, labels, _, inputs = reference_rows(text, share_columns)
+            if not share_columns and not inputs:
+                raise DataError("input series contains no data rows")
+            if share_columns and len(labels) < 2:
+                raise DataError("length >= 2 required, got %d data rows" % len(labels))
+            return _bits(inputs)
+
+        if share_columns:
+            assert _outcome(loaded_dataset) == _outcome(reference_dataset)
+        assert _outcome(lambda: _bits(load_input_table(io.StringIO(text)))) == _outcome(
+            reference_table)
+
+    def test_a_record_spanning_lines_is_read_line_by_line(self):
+        text = 'label,share_1,share_2,y_1\na,0.5,0.5,"0.25\nb,0.5,0.5,0.75\n'
+        dataset = load_csv(io.StringIO(text))
+        assert dataset.labels == ("a", "b")
+        assert dataset.inputs.tolist() == [[0.25], [0.75]]
+
+    def test_the_first_bad_row_wins_over_a_later_row_the_csv_reader_rejects(self):
+        too_long = "0" * 200_000  # beyond csv's field size limit
+        text = f"label,share_1,share_2,y_1\na,0.5,0.5,1\nb,0.5,0.1,1\nc,0.5,0.5,{too_long}\n"
+        with pytest.raises(DataError, match=r"^line 3: share sum 0\.6 outside"):
+            load_csv(io.StringIO(text))
+        with pytest.raises(csv.Error):
+            load_csv(io.StringIO(text.replace("b,0.5,0.1", "b,0.5,0.5")))
+
+    def test_the_first_bad_row_wins_over_a_later_row_whose_sum_overflows(self):
+        text = "label,share_1,share_2,y_1\na,0.5,0.5,1\nb,0.5,0.1,1\nc,-1e308,-1e308,1\n"
+        with pytest.raises(DataError, match=r"^line 3: share sum 0\.6 outside"):
+            load_csv(io.StringIO(text))
