@@ -82,10 +82,20 @@ MUTANTS = (
            "(shares <= SHARE_SUM_MAX)",
            ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
             "test_the_first_bad_row_wins_over_a_later_row_whose_sum_overflows",)),
-    Mutant("the chart's y column computes y - y_max for y_max - y", SVGCHART,
-           "(y_max - y_col)",
-           "(y_col - y_max)",
+    Mutant("a share row whose fsum overflows escapes the sum check", DATASET,
+           "except OverflowError:",
+           "except ZeroDivisionError:",
+           ("tests/test_cli.py::TestUnreadableFiles::"
+            "test_share_row_whose_sum_overflows_is_data_error_with_line",)),
+    Mutant("the chart's y map computes y - 1 for 1 - y", SVGCHART,
+           "(1.0 - y) * _PLOT_H",
+           "(y - 1.0) * _PLOT_H",
            ("tests/test_svgchart.py::test_polyline_points_equal_per_point_formatting",)),
+    Mutant("the chart's validation rule sits half a step late", SVGCHART,
+           "pixels(np.float64(boundary_x), 1.0)",
+           "pixels(np.float64(boundary_x + 0.5), 1.0)",
+           ("tests/test_svgchart.py::TestPinnedChartBytes::"
+            "test_observed_replay_with_validation_boundary",)),
 )
 
 

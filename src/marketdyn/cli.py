@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
@@ -32,7 +33,6 @@ from .influence import (
     normalize_payoff,
     synthesize_payoff,
 )
-from .simulate import _fmt
 
 _MODE_FLAGS = {"full": FULL_SYMMETRY, "cross": CROSS_PAIRS_ONLY, "none": UNCONSTRAINED}
 
@@ -60,6 +60,11 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
                         help="write per-candidate training errors as CSV")
 
 
+def _fmt(value: float) -> str:
+    return format(float(value), ".17g")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="marketdyn",
@@ -139,15 +144,16 @@ def _check_outputs(*paths) -> None:
             raise FileNotFoundError(errno.ENOENT, "no directory for the output", str(target))
 
 
-def _load_and_scale(args) -> tuple[ds.MarketDataset, ds.MarketDataset, int]:
-    """Load the dataset, split, and scale inputs off the training window."""
-    raw = ds.load_csv(args.data)
-    (_, train_len), _ = learn.split(raw, args.holdout)
+def _load_and_scale(args) -> tuple[ds.MarketDataset, ds.NormalizationRecord | None, int]:
+    """Load the dataset, split, and scale inputs off the training window;
+    returns the scaled dataset, its scaling (None when unscaled) and the
+    training length."""
+    dataset = ds.load_csv(args.data)
+    (_, train_len), _ = learn.split(dataset, args.holdout)
+    record = None
     if args.normalize_inputs:
-        scaled, _ = ds.normalize_inputs(raw, (0, train_len))
-    else:
-        scaled = raw
-    return raw, scaled, train_len
+        dataset, record = ds.normalize_inputs(dataset, (0, train_len))
+    return dataset, record, train_len
 
 
 def _load_alpha_for(path, dataset: ds.MarketDataset):
@@ -163,10 +169,9 @@ def _load_alpha_for(path, dataset: ds.MarketDataset):
 def _constraints_for(dataset: ds.MarketDataset, mode_flag: str) -> ConstraintSpec:
     mode = _MODE_FLAGS[mode_flag]
     if mode == UNCONSTRAINED:
-        n_y = dataset.n_y
-        identity = tuple(range(n_y))
         return ConstraintSpec(mode=mode, swap=tuple(range(dataset.n)),
-                              input_pairing=identity, ownership=dataset.ownership)
+                              input_pairing=tuple(range(dataset.n_y)),
+                              ownership=dataset.ownership)
     if dataset.n != 2:
         raise ConfigError(
             f"constraint mode {mode!r} needs a 2-strategy dataset, got n={dataset.n}"
@@ -174,23 +179,28 @@ def _constraints_for(dataset: ds.MarketDataset, mode_flag: str) -> ConstraintSpe
     return ConstraintSpec.standard_duopoly(dataset.n_y, mode=mode)
 
 
-def _write_chart(path, trajectory: simulate.Trajectory, train_len: int | None) -> None:
-    times = [t * trajectory.dt for t in trajectory.times]
-    series = []
-    n = trajectory.states[0].n
-    for i in range(n):
-        series.append((f"share_{i + 1}", times, trajectory.share_series(i).tolist()))
-    boundary = None
-    if train_len is not None and train_len < len(trajectory):
-        boundary = (train_len - 0.5) * trajectory.dt
-    markup = svgchart.line_chart(
-        series, title="market shares", x_label="t (quarters)", y_label="share",
-        boundary_x=boundary,
-    )
-    svgchart.save_chart(markup, path)
+def _write_trajectory(args, trajectory: simulate.Trajectory, train_len: int | None) -> None:
+    """Write the trajectory CSV and the optional chart, whose dashed rule
+    marks the end of a training window of ``train_len`` samples, and print
+    the final shares."""
+    simulate.write_trajectory_csv(trajectory, args.out)
+    if args.svg:
+        boundary = None
+        if train_len is not None and train_len < len(trajectory):
+            boundary = (train_len - 0.5) * trajectory.dt
+        markup = svgchart.line_chart(
+            np.array(trajectory.times) * trajectory.dt,
+            [state.floats for state in trajectory.states],
+            boundary_x=boundary,
+        )
+        svgchart.save_chart(markup, args.svg)
+    print("final shares: " + ", ".join(_fmt(v) for v in trajectory.final.shares))
+    print(f"trajectory written to {args.out}")
 
 
-def _print_report(report: learn.FitReport) -> None:
+def _write_report(report: learn.FitReport, ownership: tuple[int, ...], path) -> None:
+    """Save the fit report and print its summary."""
+    learn.save_report(report, ownership, path)
     print(f"train window: {report.train_len} samples, "
           f"validation window: {report.validation_len} samples")
     print(f"candidates evaluated: {report.candidates_evaluated}")
@@ -199,6 +209,7 @@ def _print_report(report: learn.FitReport) -> None:
     print(f"train error: {_fmt(report.train_error)}")
     print(f"validation error: {_fmt(report.validation_error)}")
     print(f"elapsed: {report.elapsed_seconds:.3f}s", file=sys.stderr)
+    print(f"report written to {path}")
 
 
 def _cmd_fit(args) -> int:
@@ -209,7 +220,7 @@ def _cmd_fit(args) -> int:
     if args.auto_r and args.dump_candidates is not None:
         raise ConfigError("--dump-candidates cannot be combined with --auto-r")
     _check_outputs(args.out)
-    _, scaled, _ = _load_and_scale(args)
+    scaled, _, _ = _load_and_scale(args)
     constraints = _constraints_for(scaled, args.constraints)
     if args.auto_r:
         report = learn.fit_escalating(
@@ -222,25 +233,18 @@ def _cmd_fit(args) -> int:
             scaled, learn.GridSpec(args.r), constraints, args.holdout,
             dt=args.dt, workers=args.workers, error_dump=args.dump_candidates,
         )
-    learn.save_report(report, scaled.ownership, args.out)
-    _print_report(report)
-    print(f"report written to {args.out}")
+    _write_report(report, scaled.ownership, args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     _validate_common(args)
     _check_outputs(args.out, args.svg)
-    raw, scaled, train_len = _load_and_scale(args)
+    scaled, _, train_len = _load_and_scale(args)
     alpha = _load_alpha_for(args.alpha, scaled)
     trajectory = simulate.run(simulate.observed_scenario(scaled, dt=args.dt), alpha)
-    del raw, scaled  # released before the writers, whose text would add to its rows
-    simulate.write_trajectory_csv(trajectory, args.out)
-    if args.svg:
-        _write_chart(args.svg, trajectory, train_len)
-    final = trajectory.final.shares
-    print("final shares: " + ", ".join(_fmt(v) for v in final))
-    print(f"trajectory written to {args.out}")
+    del scaled  # released before the writers, whose text would add to its rows
+    _write_trajectory(args, trajectory, train_len)
     return 0
 
 
@@ -248,7 +252,7 @@ def _cmd_scenario(args) -> int:
     _validate_common(args)
     _validate_grid(args)
     _check_outputs(args.out, args.svg, args.alpha_out)
-    raw, scaled, train_len = _load_and_scale(args)
+    scaled, record, train_len = _load_and_scale(args)
 
     if args.kind == "constant-market":
         if args.alpha_out is None:
@@ -258,12 +262,10 @@ def _cmd_scenario(args) -> int:
             scaled, learn.GridSpec(args.r), constraints, args.holdout,
             dt=args.dt, workers=args.workers, error_dump=args.dump_candidates,
         )
-        learn.save_report(report, scaled.ownership, args.alpha_out)
+        _write_report(report, scaled.ownership, args.alpha_out)
         trajectory = simulate.run(
             simulate.observed_scenario(scaled, dt=args.dt), report.best_alpha
         )
-        _print_report(report)
-        print(f"report written to {args.alpha_out}")
     else:
         if args.alpha is None:
             raise ConfigError(f"{args.kind} needs --alpha")
@@ -278,19 +280,13 @@ def _cmd_scenario(args) -> int:
                 raise DataError(
                     f"custom input series has {table.shape[1]} inputs, expected {scaled.n_y}"
                 )
-            if args.normalize_inputs:
-                _, record = ds.normalize_inputs(raw, (0, train_len))
+            if record is not None:
                 table = record.apply(table)  # a row that overflows is a DataError
-            vectors = [InputVector(values=row, ownership=scaled.ownership) for row in table]
-            spec = simulate.custom_scenario(vectors, scaled.shares[0], dt=args.dt)
+            spec = simulate.ScenarioSpec(inputs=table, initial=scaled.shares[0],
+                                         horizon=len(table) - 1, dt=args.dt)
         trajectory = simulate.run(spec, alpha)
 
-    simulate.write_trajectory_csv(trajectory, args.out)
-    if args.svg:
-        _write_chart(args.svg, trajectory, train_len if args.kind != "constant-inputs" else None)
-    final = trajectory.final.shares
-    print("final shares: " + ", ".join(_fmt(v) for v in final))
-    print(f"trajectory written to {args.out}")
+    _write_trajectory(args, trajectory, None if args.kind == "constant-inputs" else train_len)
     return 0
 
 

@@ -199,7 +199,10 @@ def _read_table(source) -> tuple[list[str], int, list[str], list[int], list[str]
     if hasattr(source, "read"):
         text = source.read()
     else:
-        text = Path(source).read_text(encoding="utf-8")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{source}: not UTF-8 text ({exc})") from exc
     comments = []
     numbers = []
     lines = []
@@ -214,12 +217,15 @@ def _read_table(source) -> tuple[list[str], int, list[str], list[int], list[str]
         lines.append(line)
     if not lines:
         raise DataError("no header row found")
-    header = [f.strip() for f in _fields(lines[0])]
+    header = [f.strip() for f in _fields(numbers[0], lines[0])]
     return comments, numbers[0], header, numbers[1:], lines[1:]
 
 
-def _fields(line: str) -> list[str]:
-    return next(csv.reader((line,)))
+def _fields(line_no: int, line: str) -> list[str]:
+    try:
+        return next(csv.reader((line,)))
+    except csv.Error as exc:  # such as a field over csv's size limit
+        raise DataError(f"line {line_no}: {exc}") from exc
 
 
 def _records(lines: list[str]):
@@ -243,7 +249,7 @@ def _records(lines: list[str]):
                 return
         except csv.Error:
             pass
-        yield _fields(lines[t])
+        yield next(csv.reader((lines[t],)))
         t += 1
 
 
@@ -272,7 +278,7 @@ def _parse_block(lines: list[str], width: int) -> tuple[list[str], np.ndarray]:
 def _parse_row(line_no: int, line: str, width: int) -> tuple[str, list[float]]:
     """A data row's label and the finite numbers after it; the row must
     have ``width`` fields."""
-    fields = _fields(line)
+    fields = _fields(line_no, line)
     if len(fields) != width:
         raise DataError(f"line {line_no}: expected {width} fields, got {len(fields)}")
     try:
@@ -323,7 +329,10 @@ def _dataset_from_table(provenance, header_no, header, numbers, lines, ownership
 
     def check(line_no, line):
         raw_shares = _parse_row(line_no, line, width)[1][:n]
-        total = math.fsum(raw_shares)
+        try:
+            total = math.fsum(raw_shares)
+        except OverflowError:  # a partial sum past the float range
+            total = sum(raw_shares)  # inf, -inf or nan: outside [0.9, 1.1] too
         if not SHARE_SUM_MIN <= total <= SHARE_SUM_MAX:
             raise DataError(
                 f"line {line_no}: share sum {total!r} outside [{SHARE_SUM_MIN}, {SHARE_SUM_MAX}]"

@@ -441,6 +441,8 @@ def load_alpha(path) -> tuple[InfluenceMatrix, tuple[int, ...]]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"coefficient file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"coefficient file nests its JSON too deeply: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("coefficient file must contain a JSON object")
     return alpha_from_dict(doc)

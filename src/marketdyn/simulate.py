@@ -197,10 +197,6 @@ def custom_scenario(
     return ScenarioSpec(inputs=np.array(rows), initial=initial, horizon=horizon, dt=dt)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_trajectory_csv(trajectory: Trajectory, target) -> None:
     """Trajectory table: t, every share, every payoff entry (row-major),
     every rate. Numbers carry full round-trip precision (%.17g)."""

@@ -393,6 +393,65 @@ class TestScenarioCommand:
         assert "Warning" not in proc.stderr
 
 
+class TestUnreadableFiles:
+    """Loader and coefficient-file failures exit with their code and a
+    message that names the line or file, never with a traceback."""
+
+    @staticmethod
+    def edited(planted_csv, tmp_path, line, edit):
+        lines = planted_csv.read_text(encoding="utf-8").splitlines()
+        lines[line - 1] = edit(lines[line - 1])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return bad
+
+    def test_share_row_whose_sum_overflows_is_data_error_with_line(self, planted_csv,
+                                                                    fit_report, tmp_path):
+        bad = self.edited(planted_csv, tmp_path, 4,
+                          lambda row: ",".join(["b", "1e308", "1e308", *row.split(",")[3:]]))
+        proc = run_cli("simulate", "--data", bad, "--alpha", fit_report,
+                       "--out", tmp_path / "traj.csv")
+        assert proc.returncode == 3, proc.stderr
+        assert "data error: line 4: share sum inf outside [0.9, 1.1]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("line", [1, 4])
+    def test_field_over_the_csv_limit_is_data_error_with_line(self, planted_csv, fit_report,
+                                                               tmp_path, line):
+        bad = self.edited(planted_csv, tmp_path, line, lambda row: row + "7" * 140_000)
+        proc = run_cli("simulate", "--data", bad, "--alpha", fit_report,
+                       "--out", tmp_path / "traj.csv")
+        assert proc.returncode == 3, proc.stderr
+        assert f"data error: line {line}: field larger than field limit" in proc.stderr
+
+    def test_input_field_over_the_csv_limit_is_data_error_with_line(self, planted_csv,
+                                                                     fit_report, tmp_path):
+        table = tmp_path / "future.csv"
+        table.write_text("label,y_1,y_2,y_3,y_4\nf0,0.5,0.5,0.5,0.5\nf1,0.5,0.5,0.5,"
+                         + "7" * 140_000 + "\n", encoding="utf-8")
+        proc = run_cli("scenario", "--data", planted_csv, "--kind", "custom-inputs",
+                       "--alpha", fit_report, "--inputs", table, "--out", tmp_path / "t.csv")
+        assert proc.returncode == 3, proc.stderr
+        assert "data error: line 3: field larger than field limit" in proc.stderr
+
+    def test_data_file_that_is_not_utf8_is_data_error_naming_it(self, planted_csv, fit_report,
+                                                                  tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(planted_csv.read_bytes().replace(b"t003", b"t\xe903"))
+        proc = run_cli("simulate", "--data", bad, "--alpha", fit_report,
+                       "--out", tmp_path / "traj.csv")
+        assert proc.returncode == 3, proc.stderr
+        assert f"data error: {bad}: not UTF-8 text" in proc.stderr
+
+    def test_deeply_nested_coefficient_file_is_config_error(self, planted_csv, tmp_path):
+        alpha = tmp_path / "deep.json"
+        alpha.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        proc = run_cli("simulate", "--data", planted_csv, "--alpha", alpha,
+                       "--out", tmp_path / "traj.csv")
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error: coefficient file nests its JSON too deeply" in proc.stderr
+
+
 class TestEquilibriaCommand:
     def test_prints_structure(self, fit_report):
         proc = run_cli("equilibria", "--alpha", fit_report, "--y", "0.5,0.2,0.3,0.7")

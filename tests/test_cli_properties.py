@@ -1,6 +1,7 @@
 """The CLI as a property: over small generated datasets, `cli.main` (run
-in-process) exits 0, 2, 3 or 4 without a traceback, writes trajectories on
-the simplex, and writes the same fit report for one and two workers."""
+in-process) exits 0, 2, 3 or 4 without a traceback, exits 3 on a row that
+no loader may read, writes trajectories on the simplex, and writes the same
+fit report for one and two workers and with a candidate dump."""
 
 import contextlib
 import io
@@ -22,10 +23,13 @@ non_finite = st.sampled_from(["nan", "inf", "-inf"])
 
 @st.composite
 def market_csv(draw):
-    """CSV text of a duopoly with n_y in {2, 4} and 5 to 12 rows; its n_y.
+    """CSV text of a duopoly with n_y in {2, 4} and 5 to 12 rows; its n_y;
+    the text of its input columns alone; and whether a row is unreadable.
 
     Each input column has one power of ten or is constant. Some tables have
-    two labels swapped, a share sum off by 1e-9, or one non-finite cell."""
+    two labels swapped, a share sum off by 1e-9, or one non-finite cell.
+    Some have an unreadable row: shares whose math.fsum overflows, or a
+    field over the csv module's 131,072-character limit."""
     n_y = draw(st.sampled_from([2, 4]))
     rows = draw(st.integers(5, 12))
     table = []
@@ -46,9 +50,16 @@ def market_csv(draw):
         table[a][0], table[b][0] = table[b][0], table[a][0]
     if draw(st.integers(0, 4)) == 0:
         table[draw(st.integers(0, rows - 1))][draw(st.integers(1, 2 + n_y))] = draw(non_finite)
-    lines = ["label,share_1,share_2," + ",".join(f"y_{m + 1}" for m in range(n_y))]
-    lines += [",".join(row) for row in table]
-    return "\n".join(lines) + "\n", n_y
+    unreadable = draw(st.sampled_from([None] * 4 + ["fsum", "long field"]))
+    if unreadable == "fsum":
+        table[draw(st.integers(0, rows - 1))][1:3] = ["1e308", "1e308"]
+    elif unreadable == "long field":
+        table[draw(st.integers(0, rows - 1))][draw(st.integers(0, 2 + n_y))] = "1" * 140_000
+    names = ",".join(f"y_{m + 1}" for m in range(n_y))
+    data = [f"label,share_1,share_2,{names}"] + [",".join(row) for row in table]
+    inputs = [f"label,{names}"] + [",".join([row[0], *row[3:]]) for row in table]
+    event(f"unreadable row: {unreadable}")
+    return "\n".join(data) + "\n", n_y, "\n".join(inputs) + "\n", unreadable is not None
 
 
 def checked(*argv):
@@ -80,12 +91,14 @@ def assert_on_simplex(path):
        values=st.lists(st.integers(-2, 2), min_size=6, max_size=6),
        y=st.lists(st.one_of(magnitude.map(repr), non_finite), min_size=4, max_size=4))
 def test_every_command_exits_cleanly(table, normalize, values, y):
-    text, n_y = table
+    text, n_y, input_text, unreadable = table
     scaling = "--normalize-inputs" if normalize else "--no-normalize-inputs"
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data = tmp / "market.csv"
         data.write_text(text, encoding="utf-8")
+        inputs = tmp / "inputs.csv"
+        inputs.write_text(input_text, encoding="utf-8")
         spec = ConstraintSpec.standard_duopoly(n_y)
         mask, pairs = build_constraints(spec, 2, n_y)
         alpha = tmp / "alpha.json"
@@ -93,19 +106,27 @@ def test_every_command_exits_cleanly(table, normalize, values, y):
                    spec.ownership, alpha)
 
         reports = []
-        for workers in (1, 2):
-            report = tmp / f"report{workers}.json"
-            if checked("fit", "--data", data, "--r", 1, "--workers", workers, scaling,
-                       "--out", report) == 0:
+        dump = tmp / "candidates.csv"
+        for workers, dumped in ((1, ()), (2, ()), (1, ("--dump-candidates", dump))):
+            report = tmp / f"report{workers}{len(dumped)}.json"
+            code = checked("fit", "--data", data, "--r", 1, "--workers", workers, scaling,
+                           *dumped, "--out", report)
+            assert code == 3 or not unreadable
+            if code == 0:
                 reports.append(report.read_bytes())
-        assert len(reports) in (0, 2)
+        assert len(reports) in (0, 3)
         if reports:
-            assert reports[0] == reports[1]
+            assert reports[0] == reports[1] == reports[2]
+            rows = dump.read_text(encoding="utf-8").splitlines()
+            assert len(rows) == 1 + 3 ** (3 * n_y // 2)
 
-        for command in (("simulate",), ("scenario", "--kind", "constant-inputs")):
+        for command in (("simulate",), ("scenario", "--kind", "constant-inputs"),
+                        ("scenario", "--kind", "custom-inputs", "--inputs", inputs)):
             out = tmp / "trajectory.csv"
             out.unlink(missing_ok=True)
-            if checked(*command, "--data", data, "--alpha", alpha, scaling, "--out", out) == 0:
+            code = checked(*command, "--data", data, "--alpha", alpha, scaling, "--out", out)
+            assert code == 3 or not unreadable
+            if code == 0:
                 assert_on_simplex(out)
 
         checked("equilibria", "--alpha", alpha, "--y=" + ",".join(y[:n_y]))

@@ -408,7 +408,7 @@ class TestIngestEqualsRowByRowLoad:
         text = f"label,share_1,share_2,y_1\na,0.5,0.5,1\nb,0.5,0.1,1\nc,0.5,0.5,{too_long}\n"
         with pytest.raises(DataError, match=r"^line 3: share sum 0\.6 outside"):
             load_csv(io.StringIO(text))
-        with pytest.raises(csv.Error):
+        with pytest.raises(DataError, match=r"^line 4: field larger than field limit"):
             load_csv(io.StringIO(text.replace("b,0.5,0.1", "b,0.5,0.5")))
 
     def test_the_first_bad_row_wins_over_a_later_row_whose_sum_overflows(self):
