@@ -82,6 +82,11 @@ MUTANTS = (
            "(shares <= SHARE_SUM_MAX)",
            ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
             "test_the_first_bad_row_wins_over_a_later_row_whose_sum_overflows",)),
+    Mutant("one csv reader reads every line, a quoted one too", DATASET,
+           """if any('"' in line for line in lines):""",
+           "if False:",
+           ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
+            "test_a_record_spanning_lines_is_read_line_by_line",)),
     Mutant("a share row whose fsum overflows escapes the sum check", DATASET,
            "except OverflowError:",
            "except ZeroDivisionError:",

@@ -23,7 +23,6 @@ from . import learn, simulate, svgchart
 from .dynamics import classify_equilibria
 from .errors import ConfigError, DataError
 from .influence import (
-    CONSTRAINT_MODES,
     CROSS_PAIRS_ONLY,
     FULL_SYMMETRY,
     UNCONSTRAINED,

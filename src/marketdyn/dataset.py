@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -231,26 +230,13 @@ def _fields(line_no: int, line: str) -> list[str]:
 def _records(lines: list[str]):
     """Each line's fields, as a csv reader of that line alone reads them.
 
-    One reader runs over all the lines. A line whose record an unclosed
-    quote carries onto the next line, or on which the reader fails, is read
-    again alone, and a new reader starts after it.
+    Only a quote can carry a record onto the next line. So one reader reads
+    all the lines when none holds a quote, and each line gets a reader of
+    its own when one does.
     """
-    t = 0
-    while t < len(lines):
-        start = t
-        reader = csv.reader(itertools.islice(lines, start, None))
-        try:
-            for fields in reader:
-                if reader.line_num != t - start + 1:
-                    break
-                yield fields
-                t += 1
-            else:
-                return
-        except csv.Error:
-            pass
-        yield next(csv.reader((lines[t],)))
-        t += 1
+    if any('"' in line for line in lines):
+        return (next(csv.reader((line,))) for line in lines)
+    return csv.reader(lines)
 
 
 def _parse_block(lines: list[str], width: int) -> tuple[list[str], np.ndarray]:
@@ -300,16 +286,16 @@ def _raise_first(numbers, lines, failed: np.ndarray, parsed: int, check) -> None
             check(numbers[t], lines[t])
 
 
-def load_csv(source, ownership: tuple[int, ...] | None = None) -> MarketDataset:
+def load_csv(source) -> MarketDataset:
     """Parse a market dataset from a path or text stream.
 
     Share rows are renormalized to sum to exactly 1; a row whose raw sum
     falls outside [0.9, 1.1] is rejected with its line number.
     """
-    return _dataset_from_table(*_read_table(source), ownership)
+    return _dataset_from_table(*_read_table(source))
 
 
-def _dataset_from_table(provenance, header_no, header, numbers, lines, ownership) -> MarketDataset:
+def _dataset_from_table(provenance, header_no, header, numbers, lines) -> MarketDataset:
     n, n_y = _parse_header(header, header_no)
     width = 1 + n + n_y
     labels, block = _parse_block(lines, width)
@@ -344,13 +330,11 @@ def _dataset_from_table(provenance, header_no, header, numbers, lines, ownership
     _raise_first(numbers, lines, ~passed, len(labels), check)
     if len(labels) < 2:
         raise DataError("length >= 2 required, got %d data rows" % len(labels))
-    if ownership is None:
-        ownership = alternating_ownership(n_y, n)
     return MarketDataset(
         labels=tuple(labels),
         shares=tuple(map(SharesState._of_checked, zip(*normalized.T.tolist()))),
         inputs=block[:, n:],
-        ownership=ownership,
+        ownership=alternating_ownership(n_y, n),
         provenance="\n".join(provenance),
     )
 
@@ -377,12 +361,13 @@ def save_csv(dataset: MarketDataset, target) -> None:
 
 
 def load_input_table(source) -> np.ndarray:
-    """Parse an input-only series: ``label,y_1,...,y_K`` rows, or a full
-    dataset file whose share columns are then ignored."""
+    """Parse an input-only series of ``label,y_1,...,y_K`` rows. A full
+    dataset file is accepted too: it must pass every load_csv check, its
+    shares included, and only its inputs are returned."""
     table = _read_table(source)
     _, header_no, header, numbers, lines = table
     if any(f.startswith("share_") for f in header):
-        return _dataset_from_table(*table, None).inputs
+        return _dataset_from_table(*table).inputs
     if header[0] != "label" or len(header) < 2:
         raise DataError(f"line {header_no}: header must be label,y_1,...,y_K")
     for m, name in enumerate(header[1:]):

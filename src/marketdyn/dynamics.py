@@ -30,8 +30,8 @@ STABLE = "stable"
 UNSTABLE = "unstable"
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _readonly(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
 

@@ -436,7 +436,10 @@ def save_alpha(alpha: InfluenceMatrix, ownership: tuple[int, ...], path) -> None
 
 
 def load_alpha(path) -> tuple[InfluenceMatrix, tuple[int, ...]]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

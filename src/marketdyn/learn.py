@@ -17,8 +17,9 @@ share. A payoff depends on the inputs and the coefficients, never on the
 shares, so the kernel normalizes the payoffs of a block of steps in one
 batch of array operations, as many steps as a fixed element budget holds
 for the lanes at hand, and its step loop updates only the shares and the
-error. A run under a finite bound takes one step per block, since it drops
-lanes after almost every step.
+error. Every block, a one-step block too, is one (step, input) slice of
+the input table. A run under a finite bound takes one step per block,
+since it drops lanes after almost every step.
 
 fit abandons a candidate early, after the UCR suite (Rakthanmanon et al.,
 KDD 2012), once its partial training error exceeds the lowest error of any
@@ -284,27 +285,22 @@ def _seed(problem: _Problem, state: np.ndarray) -> None:
 _PAYOFF_BLOCK = 65536
 
 
-def _payoffs(problem: _Problem, values: np.ndarray, rows) -> np.ndarray:
+def _payoffs(problem: _Problem, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The normalized payoff entries of a block of consecutive steps, for
     every lane whose free values are the columns of ``values``: one array
     laid out as (entry, step, lane).
 
     ``rows`` holds the input rows that drive the steps, as a (step, input)
-    array; a one-step block passes its row as a list of Python floats and
-    gets an (entry, lane) array, since a scalar costs less per call than a
-    broadcast array. A payoff depends on its input row and the coefficients
-    only, so the block's steps are computed together. Per element the
-    operations are those of synthesize_payoff and normalize_payoff: terms
-    summed in input order, the minimum and maximum taken over the entries,
-    then subtract and divide, and 0.5 where the range is degenerate.
-    Zero-mask terms are skipped, which can only change the sign of a zero.
+    array, one row for a one-step block too. A payoff depends on its input
+    row and the coefficients only, so the block's steps are computed
+    together. Per element the operations are those of synthesize_payoff and
+    normalize_payoff: terms summed in input order, the minimum and maximum
+    taken over the entries, then subtract and divide, and 0.5 where the
+    range is degenerate. Zero-mask terms are skipped, which can only change
+    the sign of a zero.
     """
-    if isinstance(rows, list):
-        y, shape = rows, (values.shape[1],)
-    else:
-        y = [rows[:, m, None] for m in range(problem.n_y)]  # (step, 1) columns
-        shape = (len(rows), values.shape[1])
-    pay = np.zeros((len(problem.terms), *shape))
+    y = [rows[:, m, None] for m in range(problem.n_y)]  # (step, 1) columns
+    pay = np.zeros((len(problem.terms), len(rows), values.shape[1]))
     for k, entry in enumerate(problem.terms):
         if entry:
             (m, f), *rest = entry
@@ -361,15 +357,10 @@ def _advance(
     prune = bound < math.inf
     steps = 1 if prune else max(1, _PAYOFF_BLOCK // (n * n * state.shape[1]))
     rows = problem.inputs[start - 1:stop - 1]
-    if steps == 1:
-        blocks = rows.tolist()
-    else:
-        blocks = [rows[k:k + steps] for k in range(0, len(rows), steps)]
 
-    for b, block in enumerate(blocks):
-        pay = _payoffs(problem, state, block)
-        per_step = (pay,) if steps == 1 else pay.swapaxes(0, 1)  # (entry, lane) each
-        for p, goal in zip(per_step, target[b * steps:(b + 1) * steps]):
+    for b in range(0, len(rows), steps):
+        pay = _payoffs(problem, state, rows[b:b + steps])
+        for p, goal in zip(pay.swapaxes(0, 1), target[b:b + steps]):  # (entry, lane) each
             x = state[shares:-1]
             # row i: sum over j of p[i * n + j] * x[j], j ascending
             fitness = p[0::n] * x[0]

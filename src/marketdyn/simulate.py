@@ -173,16 +173,12 @@ def observed_scenario(dataset: MarketDataset, dt: float = 1.0) -> ScenarioSpec:
     )
 
 
-def constant_scenario(
-    dataset: MarketDataset, horizon: int | None = None, dt: float = 1.0
-) -> ScenarioSpec:
+def constant_scenario(dataset: MarketDataset, dt: float = 1.0) -> ScenarioSpec:
     """Counterfactual: every step sees the first observed input sample."""
-    if horizon is None:
-        horizon = len(dataset) - 1
     return ScenarioSpec(
-        inputs=np.repeat(dataset.inputs[:1], max(horizon + 1, 0), axis=0),
+        inputs=np.repeat(dataset.inputs[:1], len(dataset), axis=0),
         initial=dataset.shares[0],
-        horizon=horizon,
+        horizon=len(dataset) - 1,
         dt=dt,
     )
 

@@ -443,6 +443,18 @@ class TestUnreadableFiles:
         assert proc.returncode == 3, proc.stderr
         assert f"data error: {bad}: not UTF-8 text" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["simulate", "equilibria"])
+    def test_coefficient_file_that_is_not_utf8_is_config_error_naming_it(
+            self, planted_csv, fit_report, tmp_path, command):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(fit_report.read_bytes().replace(b'"format"', b'"\xe9format"', 1))
+        rest = {"simulate": ("--data", planted_csv, "--out", tmp_path / "traj.csv"),
+                "equilibria": ("--y", "0.5,0.2,0.3,0.7")}[command]
+        proc = run_cli(command, "--alpha", bad, *rest)
+        assert proc.returncode == 2, proc.stderr
+        assert f"configuration error: {bad}: not UTF-8 text" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_deeply_nested_coefficient_file_is_config_error(self, planted_csv, tmp_path):
         alpha = tmp_path / "deep.json"
         alpha.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")

@@ -1,7 +1,8 @@
 """The CLI as a property: over small generated datasets, `cli.main` (run
 in-process) exits 0, 2, 3 or 4 without a traceback, exits 3 on a row that
 no loader may read, writes trajectories on the simplex, and writes the same
-fit report for one and two workers and with a candidate dump."""
+fit report for one and two workers (with a candidate dump too, and for
+`fit --auto-r` and a constant-market scenario)."""
 
 import contextlib
 import io
@@ -119,6 +120,19 @@ def test_every_command_exits_cleanly(table, normalize, values, y):
             assert reports[0] == reports[1] == reports[2]
             rows = dump.read_text(encoding="utf-8").splitlines()
             assert len(rows) == 1 + 3 ** (3 * n_y // 2)
+
+        for command in (("scenario", "--kind", "constant-market", "--r", 1,
+                         "--out", tmp / "market_trajectory.csv", "--alpha-out"),
+                        ("fit", "--auto-r", "--r", 0, "--max-r", 1, "--out")):
+            reports = []
+            for workers in (1, 2):
+                report = tmp / f"{command[0]}{workers}.json"
+                code = checked(*command, report, "--data", data, "--workers", workers, scaling)
+                assert code == 3 or not unreadable
+                if code == 0:
+                    reports.append(report.read_bytes())
+            assert len(reports) in (0, 2)
+            assert reports[:1] == reports[1:]
 
         for command in (("simulate",), ("scenario", "--kind", "constant-inputs"),
                         ("scenario", "--kind", "custom-inputs", "--inputs", inputs)):

@@ -51,10 +51,6 @@ class TestLoadCsv:
         assert dataset.shares[0].shares[0] == 0.5
         assert dataset.shares[0].shares[1] == 0.5
 
-    def test_ownership_override(self):
-        dataset = load_csv(io.StringIO(GOOD_CSV), ownership=(1, 0))
-        assert dataset.ownership == (1, 0)
-
     def test_share_sum_outside_band_rejected(self):
         text = GOOD_CSV.replace("2020Q3,0.65,0.35", "2020Q3,0.2,0.2")
         with pytest.raises(DataError, match=r"line 5: share sum"):

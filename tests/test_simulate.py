@@ -189,6 +189,32 @@ class TestRunProperties:
             assert np.array_equal(pa.entries, pb.entries)
 
 
+class TestStrategySwap:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_y=st.integers(1, 4), horizon=st.integers(2, 40),
+           dt=st.sampled_from([0.25, 0.5, 1.0, 2.0]), scale=st.integers(-3, 3))
+    def test_swapped_coefficient_rows_reverse_every_state(self, data, n_y, horizon, dt,
+                                                          scale):
+        """For n = 2, rows [3, 2, 1, 0] are the payoff entries with the two
+        strategies swapped, and every sum the step takes has two terms, which
+        IEEE addition adds the same in either order."""
+        coeffs = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=4 * n_y,
+                                             max_size=4 * n_y))).reshape(4, n_y)
+        inputs = 10.0**scale * np.array(data.draw(st.lists(
+            st.lists(st.floats(-1.0, 1.0), min_size=n_y, max_size=n_y),
+            min_size=horizon + 1, max_size=horizon + 1)))
+        weights = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2)))
+        initial = SharesState(weights / weights.sum())
+        original = run(ScenarioSpec(inputs=inputs, initial=initial, horizon=horizon, dt=dt),
+                       InfluenceMatrix(n=2, n_y=n_y, coeffs=coeffs))
+        swapped = run(ScenarioSpec(inputs=inputs, initial=SharesState(initial.shares[::-1]),
+                                   horizon=horizon, dt=dt),
+                      InfluenceMatrix(n=2, n_y=n_y, coeffs=coeffs[[3, 2, 1, 0]]))
+        assert len(swapped.states) == len(original.states) == horizon + 1
+        for a, b in zip(original.states, swapped.states):
+            assert a.shares[::-1].tobytes() == b.shares.tobytes()
+
+
 def raised(build):
     """(type, message) of the exception ``build()`` raises."""
     with pytest.raises(Exception) as info:
@@ -261,11 +287,6 @@ class TestScenarioBuilders:
         assert len(spec.inputs) == len(dataset)
         for y in spec.inputs:
             assert np.array_equal(y, dataset.inputs[0])
-
-    def test_constant_horizon_override(self):
-        spec = constant_scenario(small_dataset(), horizon=40)
-        assert spec.horizon == 40
-        assert len(spec.inputs) == 41
 
     def test_custom_defaults_to_full_series(self):
         inputs = wrap_inputs(ramp_inputs(6))
