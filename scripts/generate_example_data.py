@@ -93,7 +93,7 @@ def simulate_shares(raw_inputs: np.ndarray) -> np.ndarray:
                      horizon=HORIZON - 1),
         alpha,
     )
-    return np.stack([state.shares for state in traj.states])
+    return traj.shares
 
 
 def write_csv(labels, shares: np.ndarray, raw_inputs: np.ndarray) -> None:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check of the grid search, the loader and the chart: each mutant
-is a one-line source edit that a named test must catch.
+"""Mutation check of the grid search, the simulator, the loader and the
+chart: each mutant is a one-line source edit that a named test must catch.
 
 Run from the repository root:
 
@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 LEARN = "src/marketdyn/learn.py"
+SIMULATE = "src/marketdyn/simulate.py"
 DATASET = "src/marketdyn/dataset.py"
 SVGCHART = "src/marketdyn/svgchart.py"
 RUN_TIMEOUT_S = 900
@@ -77,6 +78,29 @@ MUTANTS = (
            "start = lo % block",
            "start = 0",
            ("tests/test_learn.py::TestErrorDump::test_dump_bytes_match_per_row_formatting",)),
+    Mutant("the simulator's payoff block sums the terms from the last input", SIMULATE,
+           "for m in range(alpha.n_y):",
+           "for m in reversed(range(alpha.n_y)):",
+           ("tests/test_scalar_path.py::TestPinnedTrajectoryBytes::"
+            "test_three_strategies_at_quarter_steps",)),
+    Mutant("the simulator's share step drops the clamp to 1.0", SIMULATE,
+           "nxt = [min(max(x_i + dt * r_i, 0.0), 1.0) for x_i, r_i in zip(x, r)]",
+           "nxt = [max(x_i + dt * r_i, 0.0) for x_i, r_i in zip(x, r)]",
+           ("tests/test_simulate.py::TestAdvanceShares::"
+            "test_clamps_a_share_above_one_before_renormalizing",)),
+    Mutant("the simulator names the first passing payoff row as the failing one", SIMULATE,
+           "len(rows) if held.all() else int(np.argmin(held))",
+           "len(rows) if held.all() else int(np.argmax(held))",
+           ("tests/test_simulate.py::TestRun::test_overflowing_step_is_a_data_error_naming_it",)),
+    Mutant("a collapse in the simulator's share loop escapes as ArithmeticError", SIMULATE,
+           "    except ArithmeticError:\n        stop = len(rates)",
+           "    except ZeroDivisionError:\n        stop = len(rates)",
+           ("tests/test_simulate.py::TestRun::test_collapsing_step_is_a_data_error_naming_it",)),
+    Mutant("the simulator's final rates read the shares before the last step", SIMULATE,
+           "replicator_rates(payoff, SharesState._of_checked(tuple(x)))",
+           "replicator_rates(payoff, SharesState._of_checked(tuple(shares[-2])))",
+           ("tests/test_scalar_path.py::TestPinnedTrajectoryBytes::"
+            "test_two_thousand_step_duopoly",)),
     Mutant("the share block check drops the negative-share mask", DATASET,
            "(shares >= 0.0) & (shares <= SHARE_SUM_MAX)",
            "(shares <= SHARE_SUM_MAX)",

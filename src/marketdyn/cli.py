@@ -187,13 +187,9 @@ def _write_trajectory(args, trajectory: simulate.Trajectory, train_len: int | No
         boundary = None
         if train_len is not None and train_len < len(trajectory):
             boundary = (train_len - 0.5) * trajectory.dt
-        markup = svgchart.line_chart(
-            np.array(trajectory.times) * trajectory.dt,
-            [state.floats for state in trajectory.states],
-            boundary_x=boundary,
-        )
+        markup = svgchart.line_chart(trajectory.times, trajectory.shares, boundary_x=boundary)
         svgchart.save_chart(markup, args.svg)
-    print("final shares: " + ", ".join(_fmt(v) for v in trajectory.final.shares))
+    print("final shares: " + ", ".join(_fmt(v) for v in trajectory.shares[-1].tolist()))
     print(f"trajectory written to {args.out}")
 
 

@@ -5,8 +5,8 @@ their stability in closed form.
 
 PayoffMatrix and SharesState hold their validated values as tuples of
 Python floats, which the step helpers compute on. Each builds its read-only
-numpy array only when ``entries`` or ``shares`` is first read, so a
-simulation that only steps builds none.
+numpy array only when ``entries`` or ``shares`` is first read, so
+iterating the step helpers builds none.
 """
 
 from __future__ import annotations
@@ -182,19 +182,24 @@ def _require_two_strategies(n: int) -> None:
 def replicator_rates(payoff: PayoffMatrix, state: SharesState) -> np.ndarray:
     """Share growth rates x_i * ((A x)_i - x^T A x).
 
-    Computed on Python floats, whose + - * / round exactly like numpy's
-    element-wise operations: each fitness and the mean fitness accumulate
-    from 0.0 in ascending index. The learn kernel applies the same
-    operations to each candidate in the same order, so the two agree bit
-    for bit.
+    Computed on Python floats by ``_rates``, whose + - * / round exactly
+    like numpy's element-wise operations: each fitness and the mean fitness
+    accumulate from 0.0 in ascending index. The learn kernel applies the
+    same operations to each candidate in the same order, so the two agree
+    bit for bit.
     """
     if state.n != payoff.n:
         raise ValueError(
             f"dimension mismatch: payoff has {payoff.n} strategies, state has {state.n}"
         )
-    x = state.floats
-    a = payoff.floats
-    n = payoff.n
+    return np.array(_rates(payoff.floats, state.floats))
+
+
+def _rates(a, x) -> list[float]:
+    """The rates of replicator_rates for the row-major payoff entries ``a``
+    and the shares ``x``, both sequences of Python floats; simulate.run
+    steps on this alone."""
+    n = len(x)
     fitness = []
     for i in range(0, n * n, n):
         f = 0.0
@@ -204,7 +209,7 @@ def replicator_rates(payoff: PayoffMatrix, state: SharesState) -> np.ndarray:
     mean_fitness = 0.0
     for x_i, f_i in zip(x, fitness):
         mean_fitness += x_i * f_i
-    return np.array([x_i * (f_i - mean_fitness) for x_i, f_i in zip(x, fitness)])
+    return [x_i * (f_i - mean_fitness) for x_i, f_i in zip(x, fitness)]
 
 
 def mixed_equilibrium(payoff: PayoffMatrix) -> Optional[SharesState]:

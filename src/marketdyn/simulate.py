@@ -9,26 +9,44 @@ A scenario's inputs are one read-only (samples, n_y) table, validated once
 when the scenario is built; each step reads its row as a plain array.
 InputVector appears only where a caller hands inputs in (custom_scenario).
 
-The step helpers compute on Python floats in the learn kernel's
-per-element order; on vectors of two to sixteen entries numpy's per-call
-cost exceeds the arithmetic. They read and build the floats that
-SharesState and PayoffMatrix hold, so a step builds no array but its rates,
-and the trajectory writer formats those floats directly. run calls each
-helper once per step through this module's attributes, which is where
-perfbench's traced run wraps them.
+The step helpers (synthesize_payoff, normalize_payoff, replicator_rates,
+advance_shares, step) compute one step on Python floats in the learn
+kernel's per-element order; on vectors of two to sixteen entries numpy's
+per-call cost exceeds the arithmetic. run takes the same operations in two
+halves. A payoff depends on its input row alone, so _payoff_block
+normalizes the payoffs of every stepped row in one batch of array
+operations, each element in the helpers' order. The loop then steps only
+the shares, on lists of Python floats, through the same float functions
+that replicator_rates and advance_shares wrap, and builds no value object
+per step. The final row, which no step advances, comes from the helpers
+themselves. The trajectory keeps its shares, payoffs and rates as arrays,
+and the writer formats them with one row template.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dataset import MarketDataset
-from .dynamics import PayoffMatrix, SharesState, _readonly, replicator_rates
+from .dynamics import (
+    PayoffMatrix,
+    SharesState,
+    _rates,
+    _readonly,
+    _simplex_rows,
+    replicator_rates,
+)
 from .errors import DataError
-from .influence import InfluenceMatrix, normalize_payoff, synthesize_payoff
+from .influence import (
+    DEGENERATE_RANGE,
+    InfluenceMatrix,
+    normalize_payoff,
+    synthesize_payoff,
+)
 
 
 @dataclass(frozen=True)
@@ -62,51 +80,67 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulated series: states, the normalized payoff matrix in force at
-    each time, and the rates there. All series share one length; state t+1
-    is exactly one Euler step from state t."""
+    """Simulated series as read-only blocks, one row per time t = 0..horizon:
+    ``shares`` (time, strategy), ``payoffs`` (time, entry), the normalized
+    payoff matrix in force at t in row-major order, and ``rates``
+    (time, strategy). Row t+1 of the shares is exactly one Euler step from
+    row t."""
 
-    times: tuple[int, ...]
-    states: tuple[SharesState, ...]
-    payoffs: tuple[PayoffMatrix, ...]
-    rates: tuple[np.ndarray, ...]
+    shares: np.ndarray
+    payoffs: np.ndarray
+    rates: np.ndarray
     dt: float = 1.0
 
     def __post_init__(self):
-        k = len(self.times)
-        if not (k == len(self.states) == len(self.payoffs) == len(self.rates)):
-            raise ValueError("trajectory series lengths disagree")
-        if k < 1:
+        shares, payoffs, rates = map(_readonly, (self.shares, self.payoffs, self.rates))
+        if shares.ndim != 2 or len(shares) < 1:
             raise ValueError("trajectory must contain at least one sample")
+        k, n = shares.shape
+        if payoffs.shape != (k, n * n) or rates.shape != (k, n):
+            raise ValueError("trajectory series lengths disagree")
+        object.__setattr__(self, "shares", shares)
+        object.__setattr__(self, "payoffs", payoffs)
+        object.__setattr__(self, "rates", rates)
 
     def __len__(self) -> int:
-        return len(self.times)
-
-    def share_series(self, strategy: int = 0) -> np.ndarray:
-        return np.array([s.floats[strategy] for s in self.states])
+        return len(self.shares)
 
     @property
-    def final(self) -> SharesState:
-        return self.states[-1]
+    def times(self) -> np.ndarray:
+        """The time of each row, t * dt."""
+        return np.arange(len(self)) * self.dt
+
+    @cached_property
+    def states(self) -> tuple[SharesState, ...]:
+        """The share rows as SharesState values, built on first read."""
+        return tuple(SharesState._of_floats(row) for row in self.shares.tolist())
+
+    def share_series(self, strategy: int = 0) -> np.ndarray:
+        return self.shares[:, strategy]
 
 
 def advance_shares(state: SharesState, rates: np.ndarray, dt: float) -> SharesState:
-    """One Euler update, then clamp to [0, 1] and renormalize to sum 1.
-
-    Computed per share on Python floats, in the learn kernel's order:
-    x + dt * rate, clamped, then divided by the left-to-right total.
-    """
+    """One Euler update, then clamp to [0, 1] and renormalize to sum 1;
+    the shares are those of ``_advance``."""
     x = state.floats
     r = rates.tolist()
     if len(r) != len(x):
         raise ValueError(f"dimension mismatch: {len(x)} shares, {len(r)} rates")
+    return SharesState._of_floats(_advance(x, r, dt))
+
+
+def _advance(x, r, dt: float) -> list[float]:
+    """The shares of advance_shares for the shares ``x`` and rates ``r``,
+    both sequences of Python floats, computed per share in the learn
+    kernel's order: x + dt * rate, clamped, then divided by the
+    left-to-right total. run steps on this alone."""
     nxt = [min(max(x_i + dt * r_i, 0.0), 1.0) for x_i, r_i in zip(x, r)]
     total = 0.0
     for v in nxt:
         total += v
     if not total > 0.0:
         raise ArithmeticError("share update collapsed to the zero vector")
-    return SharesState._of_floats([v / total for v in nxt])
+    return [v / total for v in nxt]
 
 
 def step(
@@ -121,45 +155,91 @@ def step(
     return advance_shares(state, rates, dt), payoff, rates
 
 
+# Overflow and NaN show up as rows that fail the payoff checks.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _payoff_block(alpha: InfluenceMatrix, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """The normalized payoff entries that the (step, input) array ``rows``
+    drives, as one (step, entry) block, and the index of the first row whose
+    payoffs the one-step helpers reject (``len(rows)`` if none).
+
+    Per element the operations are those of synthesize_payoff and
+    normalize_payoff: terms summed from 0.0 in input order, the minimum and
+    maximum taken per row, then subtract and divide, and 0.5 where the range
+    is degenerate.
+    """
+    raw = np.zeros((len(rows), alpha.n * alpha.n))
+    for m in range(alpha.n_y):
+        raw += rows[:, m, None] * alpha.coeffs[:, m]
+    lo = raw.min(axis=1)
+    # Where a row's minimum is zero, normalize_payoff takes numpy's minimum
+    # of that row, whose sign the subtraction shows. A sum from 0.0 is never
+    # -0.0, so this only guards against a change in how the rows are summed.
+    for i in np.flatnonzero(lo == 0.0):
+        lo[i] = raw[i].min()
+    span = raw.max(axis=1) - lo
+    pay = (raw - lo[:, None]) / span[:, None]
+    pay[span < DEGENERATE_RANGE] = 0.5
+    # PayoffMatrix's checks: finite raw entries, and normalized entries in
+    # [0, 1], which a NaN fails too.
+    held = np.isfinite(raw).all(axis=1) & ((pay >= 0.0) & (pay <= 1.0)).all(axis=1)
+    return pay, len(rows) if held.all() else int(np.argmin(held))
+
+
 def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
     """Iterate the step over the whole horizon.
 
-    Records horizon+1 states; the payoff and rates stored at the final time
-    describe where the system would head next but are not stepped. A step
-    whose payoffs or shares come out non-finite, or whose shares collapse,
-    raises DataError naming the step.
+    Records horizon+1 rows, each bit for bit what iterating ``step`` from
+    the initial state gives; the payoff and rates of the final row describe
+    where the system would head next but are not stepped. A step whose
+    payoffs or shares come out non-finite, or whose shares collapse, raises
+    DataError naming the step, with the message that ``step`` raises there.
+
+    The stepped rows take their payoffs from _payoff_block and their shares
+    from a loop on Python floats; every share row then gets SharesState's
+    checks at once. The final row is computed by the one-step helpers,
+    called through this module's attributes. perfbench's traced run wraps
+    synthesize_payoff and replicator_rates there and reads their call
+    counts, so run calls each of them once; that stays until perfbench
+    reads its spans from a trace hook.
     """
     if spec.inputs.shape[1] != alpha.n_y or spec.initial.n != alpha.n:
         raise ValueError(
             f"dimension mismatch: coefficients expect {alpha.n_y} inputs and {alpha.n} "
             f"strategies, scenario has {spec.inputs.shape[1]} and {spec.initial.n}"
         )
-    states = [spec.initial]
-    payoffs = []
-    rates = []
-    x = spec.initial
+    horizon, dt = spec.horizon, spec.dt
+    payoffs, stop = _payoff_block(alpha, spec.inputs[:horizon])
+    x = list(spec.initial.floats)
+    shares, rates = [x], []
     try:
-        for t in range(spec.horizon + 1):
-            payoff = normalize_payoff(synthesize_payoff(alpha, spec.inputs[t]))
-            r = replicator_rates(payoff, x)
-            payoffs.append(payoff)
+        for a in payoffs[:stop].tolist():
+            r = _rates(a, x)
+            x = _advance(x, r, dt)
             rates.append(r)
-            if t < spec.horizon:
-                x = advance_shares(x, r, spec.dt)
-                states.append(x)
+            shares.append(x)
+    except ArithmeticError:
+        stop = len(rates)  # the step whose shares collapsed
+    held = _simplex_rows(np.array(shares[1:]).reshape(-1, alpha.n))
+    if not held.all():
+        stop = int(np.argmin(held))  # row t + 1 holds the shares of step t
+    try:
+        if stop < horizon:  # the first failing step, run again to raise its error
+            step(SharesState._of_checked(tuple(shares[stop])), spec.inputs[stop], alpha, dt)
+            raise AssertionError(f"step {stop} fails in run but not in step()")
+        payoff = normalize_payoff(synthesize_payoff(alpha, spec.inputs[horizon]))
     except (ValueError, ArithmeticError) as exc:
         # The shapes are checked above, so what fails here is the
         # arithmetic on this step's inputs.
         raise DataError(
-            f"step {t}: {exc}; the inputs may be too large for the payoff "
+            f"step {stop}: {exc}; the inputs may be too large for the payoff "
             "arithmetic (normalize the inputs)"
         ) from exc
+    final_rates = replicator_rates(payoff, SharesState._of_checked(tuple(x)))
     return Trajectory(
-        times=tuple(range(spec.horizon + 1)),
-        states=tuple(states),
-        payoffs=tuple(payoffs),
-        rates=tuple(rates),
-        dt=spec.dt,
+        shares=np.array(shares),
+        payoffs=np.vstack([payoffs, payoff.floats]),
+        rates=np.array(rates + [final_rates.tolist()]),
+        dt=dt,
     )
 
 
@@ -195,25 +275,18 @@ def custom_scenario(
 
 def write_trajectory_csv(trajectory: Trajectory, target) -> None:
     """Trajectory table: t, every share, every payoff entry (row-major),
-    every rate. Numbers carry full round-trip precision (%.17g)."""
-    n = trajectory.states[0].n
+    every rate. Numbers carry full round-trip precision (%.17g); the rows
+    are formatted from the blocks with one row template."""
+    n = trajectory.shares.shape[1]
     header = ["t"]
     header += [f"share_{i + 1}" for i in range(n)]
     header += [f"A_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     header += [f"rate_{i + 1}" for i in range(n)]
-    row = ",".join(["%.17g"] * len(header))
-    dt = trajectory.dt
-    lines = [",".join(header)]
-    for t, state, payoff, rates in zip(
-        trajectory.times, trajectory.states, trajectory.payoffs, trajectory.rates
-    ):
-        lines.append(row % (
-            float(t * dt),
-            *state.floats,
-            *payoff.floats,
-            *rates.tolist(),
-        ))
-    text = "\n".join(lines) + "\n"
+    block = np.column_stack(
+        [trajectory.times, trajectory.shares, trajectory.payoffs, trajectory.rates]
+    )
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    text = ",".join(header) + "\n" + (row * len(block)) % tuple(block.ravel().tolist())
     if hasattr(target, "write"):
         target.write(text)
     else:

@@ -1,5 +1,6 @@
-"""End-to-end command-line tests, driven through subprocesses; the one test
-that patches the search kernel runs `cli.main` in-process instead."""
+"""End-to-end command-line tests, driven through subprocesses; the tests
+that patch the search kernel or the step helpers run `cli.main` in-process
+instead."""
 
 import json
 import os
@@ -9,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import duopoly_alpha, make_dataset, ramp_inputs
-from marketdyn.dataset import MarketDataset, save_csv
+from conftest import EXAMPLE_GENERATOR, duopoly_alpha, make_dataset, ramp_inputs
+from marketdyn.dataset import MarketDataset, example_dataset_path, save_csv
 from marketdyn.dynamics import SharesState
 from marketdyn.influence import InputVector, save_alpha
 from marketdyn.simulate import custom_scenario, run
@@ -256,6 +257,28 @@ class TestSimulateCommand:
         assert proc.returncode == 3
         assert "data error: step 8: payoff entries must be finite" in proc.stderr
         assert not out.exists()
+
+    def test_simulate_calls_the_step_helpers_that_the_traced_benchmark_counts(
+            self, tmp_path, monkeypatch, capsys):
+        """perfbench's traced run wraps synthesize_payoff and replicator_rates
+        at simulate's attributes, as this test does, and reads their call
+        counts; a simulate that called neither would fail it. This pins that
+        count, and can go once perfbench reads its spans from a trace hook."""
+        from marketdyn import cli, simulate
+
+        calls = {"synthesize_payoff": 0, "replicator_rates": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(simulate, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(simulate, name, counted)
+        alpha = tmp_path / "alpha.json"
+        save_alpha(duopoly_alpha(EXAMPLE_GENERATOR), (0, 1, 0, 1), alpha)
+        rc = cli.main(["simulate", "--data", str(example_dataset_path()), "--alpha", str(alpha),
+                       "--out", str(tmp_path / "traj.csv")])
+        assert rc == 0, capsys.readouterr().err
+        assert calls["synthesize_payoff"] >= 1 and calls["replicator_rates"] >= 1
 
     def test_non_finite_dt_is_config_error(self, planted_csv, fit_report, tmp_path):
         proc = run_cli("simulate", "--data", planted_csv, "--alpha", fit_report,

@@ -1,19 +1,29 @@
 """The CLI as a property: over small generated datasets, `cli.main` (run
-in-process) exits 0, 2, 3 or 4 without a traceback, exits 3 on a row that
-no loader may read, writes trajectories on the simplex, and writes the same
-fit report for one and two workers (with a candidate dump too, and for
-`fit --auto-r` and a constant-market scenario)."""
+in-process) exits 0, 2, 3 or 4 without a traceback, exits 3 naming the
+cause on a table that no loader may read, exits 2 naming the odd input
+count when a fit's full constraints cannot apply, writes trajectories on
+the simplex, and writes the same fit report for one and two workers (with a
+candidate dump too, and for `fit --auto-r` and a constant-market
+scenario)."""
 
 import contextlib
 import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from marketdyn import cli
-from marketdyn.influence import ConstraintSpec, InfluenceMatrix, build_constraints, save_alpha
+from marketdyn.influence import (
+    ConstraintSpec,
+    InfluenceMatrix,
+    alternating_ownership,
+    build_constraints,
+    save_alpha,
+)
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -24,14 +34,16 @@ non_finite = st.sampled_from(["nan", "inf", "-inf"])
 
 @st.composite
 def market_csv(draw):
-    """CSV text of a duopoly with n_y in {2, 4} and 5 to 12 rows; its n_y;
-    the text of its input columns alone; and whether a row is unreadable.
+    """CSV text of a duopoly with n_y in {2, 3, 4} and 5 to 12 rows; its n_y;
+    the text of its input columns alone; whether a row is unreadable; and
+    the causes, one per drawn fault, of which a load must name one.
 
     Each input column has one power of ten or is constant. Some tables have
-    two labels swapped, a share sum off by 1e-9, or one non-finite cell.
+    two labels swapped or one label repeated, a share sum off by 1e-9 (a
+    negative share where the first is near 1), or one non-finite cell.
     Some have an unreadable row: shares whose math.fsum overflows, or a
     field over the csv module's 131,072-character limit."""
-    n_y = draw(st.sampled_from([2, 4]))
+    n_y = draw(st.sampled_from([2, 3, 4]))
     rows = draw(st.integers(5, 12))
     table = []
     for k in range(rows):
@@ -46,26 +58,40 @@ def market_csv(draw):
             column = [draw(st.floats(-1.0, 1.0)) * scale for _ in range(rows)]
         for row, value in zip(table, column):
             row.append(repr(value))
-    if draw(st.integers(0, 4)) == 0:
+    causes = []
+    if any(float(row[2]) < 0.0 for row in table):
+        causes.append("negative share")
+    labels = draw(st.sampled_from([None] * 6 + ["swapped", "repeated"]))
+    if labels:
         a, b = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
-        table[a][0], table[b][0] = table[b][0], table[a][0]
+        if labels == "repeated":
+            table[b][0] = table[a][0]
+        else:
+            table[a][0], table[b][0] = table[b][0], table[a][0]
+        causes.append("labels must be strictly increasing")
     if draw(st.integers(0, 4)) == 0:
         table[draw(st.integers(0, rows - 1))][draw(st.integers(1, 2 + n_y))] = draw(non_finite)
+        causes.append("values must be finite")
     unreadable = draw(st.sampled_from([None] * 4 + ["fsum", "long field"]))
     if unreadable == "fsum":
         table[draw(st.integers(0, rows - 1))][1:3] = ["1e308", "1e308"]
+        causes.append("share sum inf outside")
     elif unreadable == "long field":
         table[draw(st.integers(0, rows - 1))][draw(st.integers(0, 2 + n_y))] = "1" * 140_000
+        causes.append("field larger than field limit")
     names = ",".join(f"y_{m + 1}" for m in range(n_y))
     data = [f"label,share_1,share_2,{names}"] + [",".join(row) for row in table]
     inputs = [f"label,{names}"] + [",".join([row[0], *row[3:]]) for row in table]
     event(f"unreadable row: {unreadable}")
-    return "\n".join(data) + "\n", n_y, "\n".join(inputs) + "\n", unreadable is not None
+    event(f"labels: {labels}")
+    event(f"n_y: {n_y}")
+    return ("\n".join(data) + "\n", n_y, "\n".join(inputs) + "\n", unreadable is not None,
+            tuple(causes))
 
 
-def checked(*argv):
+def checked(*argv, causes=()):
     """Run ``cli.main`` in-process; check its exit code and stderr, and
-    return the code."""
+    return the code. A failure must name one of ``causes``, if any."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in argv])
@@ -75,6 +101,7 @@ def checked(*argv):
     assert "Traceback" not in err, err
     if code:
         assert err.strip(), argv  # a failure says why
+        assert not causes or any(cause in err for cause in causes), (argv, causes, err)
     return code
 
 
@@ -89,10 +116,14 @@ def assert_on_simplex(path):
 
 @settings(max_examples=50, deadline=None)
 @given(table=market_csv(), normalize=st.booleans(),
-       values=st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+       values=st.lists(st.integers(-2, 2), min_size=12, max_size=12),
        y=st.lists(st.one_of(magnitude.map(repr), non_finite), min_size=4, max_size=4))
 def test_every_command_exits_cleanly(table, normalize, values, y):
-    text, n_y, input_text, unreadable = table
+    text, n_y, input_text, unreadable, faults = table
+    # Fits take full constraints (the default), which need an even input
+    # count; with --normalize-inputs an overflowing scaled input fails first.
+    fit_causes = faults or (("need an even input count, got 3",
+                             "overflows under the") if n_y == 3 else ())
     scaling = "--normalize-inputs" if normalize else "--no-normalize-inputs"
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -100,19 +131,26 @@ def test_every_command_exits_cleanly(table, normalize, values, y):
         data.write_text(text, encoding="utf-8")
         inputs = tmp / "inputs.csv"
         inputs.write_text(input_text, encoding="utf-8")
-        spec = ConstraintSpec.standard_duopoly(n_y)
-        mask, pairs = build_constraints(spec, 2, n_y)
         alpha = tmp / "alpha.json"
-        save_alpha(InfluenceMatrix.from_free_values(2, n_y, mask, pairs, values[:3 * n_y // 2]),
-                   spec.ownership, alpha)
+        if n_y == 3:
+            save_alpha(InfluenceMatrix(n=2, n_y=3, coeffs=np.reshape(values, (4, 3))),
+                       alternating_ownership(3), alpha)
+        else:
+            spec = ConstraintSpec.standard_duopoly(n_y)
+            mask, pairs = build_constraints(spec, 2, n_y)
+            save_alpha(InfluenceMatrix.from_free_values(2, n_y, mask, pairs,
+                                                        values[:3 * n_y // 2]),
+                       spec.ownership, alpha)
 
         reports = []
         dump = tmp / "candidates.csv"
         for workers, dumped in ((1, ()), (2, ()), (1, ("--dump-candidates", dump))):
             report = tmp / f"report{workers}{len(dumped)}.json"
             code = checked("fit", "--data", data, "--r", 1, "--workers", workers, scaling,
-                           *dumped, "--out", report)
+                           *dumped, "--out", report, causes=fit_causes)
             assert code == 3 or not unreadable
+            assert code == 3 or not faults
+            assert code or n_y != 3
             if code == 0:
                 reports.append(report.read_bytes())
         assert len(reports) in (0, 3)
@@ -127,8 +165,11 @@ def test_every_command_exits_cleanly(table, normalize, values, y):
             reports = []
             for workers in (1, 2):
                 report = tmp / f"{command[0]}{workers}.json"
-                code = checked(*command, report, "--data", data, "--workers", workers, scaling)
+                code = checked(*command, report, "--data", data, "--workers", workers, scaling,
+                               causes=fit_causes)
                 assert code == 3 or not unreadable
+                assert code == 3 or not faults
+                assert code or n_y != 3
                 if code == 0:
                     reports.append(report.read_bytes())
             assert len(reports) in (0, 2)
@@ -138,8 +179,10 @@ def test_every_command_exits_cleanly(table, normalize, values, y):
                         ("scenario", "--kind", "custom-inputs", "--inputs", inputs)):
             out = tmp / "trajectory.csv"
             out.unlink(missing_ok=True)
-            code = checked(*command, "--data", data, "--alpha", alpha, scaling, "--out", out)
+            code = checked(*command, "--data", data, "--alpha", alpha, scaling, "--out", out,
+                           causes=faults)
             assert code == 3 or not unreadable
+            assert code == 3 or not faults
             if code == 0:
                 assert_on_simplex(out)
 

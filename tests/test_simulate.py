@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import duopoly_alpha, make_dataset, ramp_inputs, RECOVERY_TARGET
@@ -66,6 +66,11 @@ class TestAdvanceShares:
         nxt = advance_shares(state, np.array([0.5, -0.5]), dt=1.0)
         assert nxt.shares[0] == 1.0 and nxt.shares[1] == 0.0
 
+    def test_clamps_a_share_above_one_before_renormalizing(self):
+        state = SharesState(np.array([0.5, 0.25, 0.25]))
+        nxt = advance_shares(state, np.array([1.0, -0.125, -0.125]), dt=1.0)
+        assert nxt.floats == (1.0 / 1.25, 0.125 / 1.25, 0.125 / 1.25)
+
     def test_collapse_to_zero_raises(self):
         state = SharesState(np.array([1.0, 0.0]))
         with pytest.raises(ArithmeticError, match="collapsed"):
@@ -108,8 +113,10 @@ class TestRun:
                                SharesState(np.array([0.3, 0.7])))
         traj = run(spec, alpha)
         assert len(traj) == 12
-        assert traj.times == tuple(range(12))
-        assert len(traj.states) == len(traj.payoffs) == len(traj.rates) == 12
+        assert traj.times.tolist() == list(range(12))
+        assert traj.shares.shape == traj.rates.shape == (12, 2)
+        assert traj.payoffs.shape == (12, 4)
+        assert len(traj.states) == 12
 
     def test_each_state_is_one_euler_step(self):
         alpha = duopoly_alpha(RECOVERY_TARGET)
@@ -137,6 +144,16 @@ class TestRun:
         spec = custom_scenario(wrap_inputs(inputs), SharesState(np.array([0.3, 0.7])))
         with pytest.raises(DataError, match="step 3: payoff entries must be finite"):
             run(spec, duopoly_alpha(RECOVERY_TARGET))
+
+    def test_collapsing_step_is_a_data_error_naming_it(self):
+        """Under the degenerate payoffs of zero inputs the rates at (0.2, 0.8)
+        are exactly zero; from row 3 on, a huge dt sends both shares below
+        zero, since the rounded mean fitness tops both fitnesses."""
+        coeffs = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        spec = ScenarioSpec(inputs=np.array([[0.0], [0.0], [0.0], [1.0], [1.0]]),
+                            initial=SharesState(np.array([0.2, 0.8])), horizon=4, dt=1e300)
+        with pytest.raises(DataError, match="step 3: share update collapsed"):
+            run(spec, InfluenceMatrix(n=2, n_y=1, coeffs=coeffs))
 
     def test_repeated_runs_are_bitwise_identical(self):
         alpha = duopoly_alpha((2, -1, 1, 3, 2, 0))
@@ -184,9 +201,8 @@ class TestRunProperties:
                                  st.integers(-16, 16).map(lambda k: k / 8))
         scaled = InfluenceMatrix(n=n, n_y=n_y, coeffs=alpha.coeffs * 2.0**power)
         a, b = run(spec, alpha), run(spec, scaled)
-        for sa, sb, pa, pb in zip(a.states, b.states, a.payoffs, b.payoffs):
-            assert np.array_equal(sa.shares, sb.shares)
-            assert np.array_equal(pa.entries, pb.entries)
+        assert np.array_equal(a.shares, b.shares)
+        assert np.array_equal(a.payoffs, b.payoffs)
 
 
 class TestStrategySwap:
@@ -224,6 +240,21 @@ def raised(build):
 
 HALF = SharesState(np.array([0.5, 0.5]))
 
+# Coefficients and inputs: signed zeros half the time, so that payoff rows
+# hold zero entries and zero minimums.
+ZERO_RICH = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+
+
+def zero_rich_run(data, n, n_y, rows):
+    """Coefficients, a (rows, n_y) input table and initial shares drawn
+    from ZERO_RICH."""
+    coeffs = data.draw(st.lists(ZERO_RICH, min_size=n * n * n_y, max_size=n * n * n_y))
+    inputs = np.array(data.draw(st.lists(st.lists(ZERO_RICH, min_size=n_y, max_size=n_y),
+                                         min_size=rows, max_size=rows)))
+    weights = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    alpha = InfluenceMatrix(n=n, n_y=n_y, coeffs=np.array(coeffs).reshape(n * n, n_y))
+    return alpha, inputs, SharesState(weights / weights.sum())
+
 
 class TestInputTable:
     """A scenario's inputs are one table, validated when the spec is built
@@ -247,6 +278,65 @@ class TestInputTable:
         for t in range(rows - 1):
             x = step(x, dataset.inputs[t], alpha, dt)[0]
             assert x.shares.tobytes() == trajectory.states[t + 1].shares.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4), n_y=st.integers(1, 4),
+           rows=st.integers(2, 12), dt=st.sampled_from([0.25, 0.5, 1.0, 2.0, 8.0]))
+    def test_run_records_the_payoffs_and_rates_of_iterated_steps(self, data, n, n_y, rows,
+                                                                 dt):
+        """Every row of the payoff and rate blocks has the bytes of the one
+        iterated ``step`` returns, the final unstepped row included. Signed
+        zeros in the coefficients and inputs make rows whose minimum is
+        zero, and dt above 1 drives shares into the clamp."""
+        alpha, inputs, initial = zero_rich_run(data, n, n_y, rows)
+        trajectory = run(ScenarioSpec(inputs=inputs, initial=initial, horizon=rows - 1,
+                                      dt=dt), alpha)
+        zero_minimums = sum(min(synthesize_payoff(alpha, y).floats) == 0.0 for y in inputs)
+        event("rows with a zero minimum: " + ("none", "one", "several")[min(zero_minimums, 2)])
+        x = initial
+        for t in range(rows):
+            if t < rows - 1:
+                nxt, payoff, rates = step(x, inputs[t], alpha, dt)
+            else:
+                payoff = normalize_payoff(synthesize_payoff(alpha, inputs[t]))
+                nxt, rates = x, replicator_rates(payoff, x)
+            assert trajectory.shares[t].tobytes() == x.shares.tobytes()
+            assert trajectory.payoffs[t].tobytes() == payoff.entries.tobytes()
+            assert trajectory.rates[t].tobytes() == rates.tobytes()
+            x = nxt
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 3), n_y=st.integers(1, 3),
+           rows=st.integers(2, 10), dt=st.sampled_from([0.5, 1.0, 2.0]),
+           scale=st.sampled_from([1e306, 1e308, 1.7e308]))
+    def test_run_fails_where_iterated_steps_first_fail(self, data, n, n_y, rows, dt, scale):
+        """Inputs scaled toward overflow from a drawn row on, the final
+        unstepped row included (the largest of at least 1 becomes ``scale``):
+        run's DataError reads "step t: " and the message of the first
+        iterated step that fails, or run succeeds when none does."""
+        alpha, inputs, initial = zero_rich_run(data, n, n_y, rows)
+        scaled = inputs[data.draw(st.one_of(st.just(rows - 1), st.integers(0, rows - 1))):]
+        scaled *= scale / max(np.abs(scaled).max(), 1.0)
+        expected = None
+        x = initial
+        for t in range(rows):
+            try:
+                if t < rows - 1:
+                    x = step(x, inputs[t], alpha, dt)[0]
+                else:
+                    replicator_rates(normalize_payoff(synthesize_payoff(alpha, inputs[t])), x)
+            except (ValueError, ArithmeticError) as exc:
+                expected = (f"step {t}: {exc}; the inputs may be too large for the payoff "
+                            "arithmetic (normalize the inputs)")
+                break
+        event("no step fails" if expected is None else
+              "the final row fails" if expected.startswith(f"step {rows - 1}:") else
+              "a stepped row fails")
+        spec = ScenarioSpec(inputs=inputs, initial=initial, horizon=rows - 1, dt=dt)
+        if expected is None:
+            run(spec, alpha)
+        else:
+            assert raised(lambda: run(spec, alpha)) == (DataError, expected)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n_y=st.integers(1, 4), rows=st.integers(2, 12),
@@ -339,9 +429,9 @@ class TestTrajectoryCsv:
         rows = [line.split(",") for line in buf.getvalue().strip().split("\n")[1:]]
         for t, row in enumerate(rows):
             assert float(row[0]) == t * 0.25
-            assert float(row[1]) == traj.states[t].shares[0]
-            assert float(row[3]) == traj.payoffs[t].entries[0, 0]
-            assert float(row[7]) == traj.rates[t][0]
+            assert float(row[1]) == traj.shares[t, 0]
+            assert float(row[3]) == traj.payoffs[t, 0]
+            assert float(row[7]) == traj.rates[t, 0]
 
     def test_writes_to_path(self, tmp_path):
         alpha = duopoly_alpha(RECOVERY_TARGET)
