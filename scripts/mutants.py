@@ -93,14 +93,34 @@ MUTANTS = (
            "len(rows) if held.all() else int(np.argmax(held))",
            ("tests/test_simulate.py::TestRun::test_overflowing_step_is_a_data_error_naming_it",)),
     Mutant("a collapse in the simulator's share loop escapes as ArithmeticError", SIMULATE,
-           "    except ArithmeticError:\n        stop = len(rates)",
-           "    except ZeroDivisionError:\n        stop = len(rates)",
+           "    except ArithmeticError:\n        stop = len(columns[-1])",
+           "    except ZeroDivisionError:\n        stop = len(columns[-1])",
            ("tests/test_simulate.py::TestRun::test_collapsing_step_is_a_data_error_naming_it",)),
     Mutant("the simulator's final rates read the shares before the last step", SIMULATE,
-           "replicator_rates(payoff, SharesState._of_checked(tuple(x)))",
-           "replicator_rates(payoff, SharesState._of_checked(tuple(shares[-2])))",
+           "SharesState._of_checked(tuple(shares[-1].tolist()))",
+           "SharesState._of_checked(tuple(shares[-2].tolist()))",
            ("tests/test_scalar_path.py::TestPinnedTrajectoryBytes::"
             "test_two_thousand_step_duopoly",)),
+    Mutant("the duopoly share loop drops the clamp to 1.0", SIMULATE,
+           "c0 = 0.0 if c0 < 0.0 else 1.0 if c0 > 1.0 else c0",
+           "c0 = 0.0 if c0 < 0.0 else c0",
+           ("tests/test_simulate.py::TestRun::"
+            "test_clamped_steps_have_the_bytes_of_iterated_steps",)),
+    Mutant("the duopoly share loop drops the clamp to 0.0", SIMULATE,
+           "c1 = 0.0 if c1 < 0.0 else 1.0 if c1 > 1.0 else c1",
+           "c1 = 1.0 if c1 > 1.0 else c1",
+           ("tests/test_simulate.py::TestRun::"
+            "test_clamped_steps_have_the_bytes_of_iterated_steps",)),
+    Mutant("the duopoly share loop records a rate taken after the share update", SIMULATE,
+           "r0s(r0)",
+           "r0s(x0 * (f0 - mean))",
+           ("tests/test_simulate.py::TestRun::"
+            "test_clamped_steps_have_the_bytes_of_iterated_steps",)),
+    Mutant("the duopoly share loop clamps a share of -0.0 to 0.0", SIMULATE,
+           "c1 = 0.0 if c1 < 0.0 else 1.0 if c1 > 1.0 else c1",
+           "c1 = 0.0 if c1 <= 0.0 else 1.0 if c1 > 1.0 else c1",
+           ("tests/test_simulate.py::TestRun::"
+            "test_clamped_steps_have_the_bytes_of_iterated_steps",)),
     Mutant("the share block check drops the negative-share mask", DATASET,
            "(shares >= 0.0) & (shares <= SHARE_SUM_MAX)",
            "(shares <= SHARE_SUM_MAX)",

@@ -16,11 +16,15 @@ per-call cost exceeds the arithmetic. run takes the same operations in two
 halves. A payoff depends on its input row alone, so _payoff_block
 normalizes the payoffs of every stepped row in one batch of array
 operations, each element in the helpers' order. The loop then steps only
-the shares, on lists of Python floats, through the same float functions
-that replicator_rates and advance_shares wrap, and builds no value object
-per step. The final row, which no step advances, comes from the helpers
-themselves. The trajectory keeps its shares, payoffs and rates as arrays,
-and the writer formats them with one row template.
+the shares, on Python floats, and builds no value object per step; which
+loop runs is chosen by the number of strategies. A duopoly (n = 2) steps
+its two shares on local floats, each operation that of the float
+functions _rates and _advance in their order; three or more strategies
+step through _rates and _advance, which replicator_rates and
+advance_shares wrap. Both give the bytes of iterated step. The final row,
+which no step advances, comes from the helpers themselves. The trajectory
+keeps its shares, payoffs and rates as arrays, and the writer formats them
+with one row template.
 """
 
 from __future__ import annotations
@@ -133,7 +137,7 @@ def _advance(x, r, dt: float) -> list[float]:
     """The shares of advance_shares for the shares ``x`` and rates ``r``,
     both sequences of Python floats, computed per share in the learn
     kernel's order: x + dt * rate, clamped, then divided by the
-    left-to-right total. run steps on this alone."""
+    left-to-right total. run steps three or more strategies on this."""
     nxt = [min(max(x_i + dt * r_i, 0.0), 1.0) for x_i, r_i in zip(x, r)]
     total = 0.0
     for v in nxt:
@@ -194,37 +198,71 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
     payoffs or shares come out non-finite, or whose shares collapse, raises
     DataError naming the step, with the message that ``step`` raises there.
 
-    The stepped rows take their payoffs from _payoff_block and their shares
-    from a loop on Python floats; every share row then gets SharesState's
-    checks at once. The final row is computed by the one-step helpers,
-    called through this module's attributes. perfbench's traced run wraps
-    synthesize_payoff and replicator_rates there and reads their call
-    counts, so run calls each of them once; that stays until perfbench
-    reads its spans from a trace hook.
+    The stepped rows take their payoffs from _payoff_block, and their shares
+    and rates from one loop on Python floats that appends every value to
+    its own column; the share and rate blocks are built once from those
+    columns, and every share row then gets SharesState's checks at once.
+    The loop is chosen by ``alpha.n``: a duopoly steps its two shares on
+    local floats, each operation that of _rates and _advance in their
+    order, and three or more strategies step through _rates and _advance.
+    Both give the bytes of iterated ``step``.
+
+    The final row is computed by the one-step helpers, called through this
+    module's attributes. perfbench's traced run wraps synthesize_payoff and
+    replicator_rates there and reads their call counts, so run calls each
+    of them once; that stays until perfbench reads its spans from a trace
+    hook.
     """
     if spec.inputs.shape[1] != alpha.n_y or spec.initial.n != alpha.n:
         raise ValueError(
             f"dimension mismatch: coefficients expect {alpha.n_y} inputs and {alpha.n} "
             f"strategies, scenario has {spec.inputs.shape[1]} and {spec.initial.n}"
         )
-    horizon, dt = spec.horizon, spec.dt
+    horizon, dt, n = spec.horizon, spec.dt, alpha.n
     payoffs, stop = _payoff_block(alpha, spec.inputs[:horizon])
     x = list(spec.initial.floats)
-    shares, rates = [x], []
+    columns = [[v] for v in x] + [[] for _ in x]  # the shares, then the rates
     try:
-        for a in payoffs[:stop].tolist():
-            r = _rates(a, x)
-            x = _advance(x, r, dt)
-            rates.append(r)
-            shares.append(x)
+        if n == 2:  # _rates and _advance for two shares, on local floats
+            x0, x1 = x
+            s0, s1, r0s, r1s = (column.append for column in columns)
+            for p00, p01, p10, p11 in payoffs[:stop].tolist():
+                f0 = 0.0 + p00 * x0 + p01 * x1
+                f1 = 0.0 + p10 * x0 + p11 * x1
+                mean = 0.0 + x0 * f0 + x1 * f1
+                r0 = x0 * (f0 - mean)
+                r1 = x1 * (f1 - mean)
+                c0 = x0 + dt * r0
+                c1 = x1 + dt * r1
+                # min(max(c, 0.0), 1.0), by the comparisons those builtins make
+                c0 = 0.0 if c0 < 0.0 else 1.0 if c0 > 1.0 else c0
+                c1 = 0.0 if c1 < 0.0 else 1.0 if c1 > 1.0 else c1
+                total = 0.0 + c0 + c1
+                if not total > 0.0:
+                    raise ArithmeticError("share update collapsed to the zero vector")
+                x0 = c0 / total
+                x1 = c1 / total
+                s0(x0)
+                s1(x1)
+                r0s(r0)
+                r1s(r1)
+        else:
+            for a in payoffs[:stop].tolist():
+                r = _rates(a, x)
+                x = _advance(x, r, dt)
+                for column, value in zip(columns, x + r):
+                    column.append(value)
     except ArithmeticError:
-        stop = len(rates)  # the step whose shares collapsed
-    held = _simplex_rows(np.array(shares[1:]).reshape(-1, alpha.n))
+        stop = len(columns[-1])  # the step whose shares collapsed
+    shares = np.column_stack(columns[:n])
+    rates = np.column_stack(columns[n:])
+    held = _simplex_rows(shares[1:])
     if not held.all():
         stop = int(np.argmin(held))  # row t + 1 holds the shares of step t
     try:
         if stop < horizon:  # the first failing step, run again to raise its error
-            step(SharesState._of_checked(tuple(shares[stop])), spec.inputs[stop], alpha, dt)
+            step(SharesState._of_checked(tuple(shares[stop].tolist())), spec.inputs[stop],
+                 alpha, dt)
             raise AssertionError(f"step {stop} fails in run but not in step()")
         payoff = normalize_payoff(synthesize_payoff(alpha, spec.inputs[horizon]))
     except (ValueError, ArithmeticError) as exc:
@@ -234,11 +272,11 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
             f"step {stop}: {exc}; the inputs may be too large for the payoff "
             "arithmetic (normalize the inputs)"
         ) from exc
-    final_rates = replicator_rates(payoff, SharesState._of_checked(tuple(x)))
+    final_rates = replicator_rates(payoff, SharesState._of_checked(tuple(shares[-1].tolist())))
     return Trajectory(
-        shares=np.array(shares),
+        shares=shares,
         payoffs=np.vstack([payoffs, payoff.floats]),
-        rates=np.array(rates + [final_rates.tolist()]),
+        rates=np.vstack([rates, final_rates]),
         dt=dt,
     )
 

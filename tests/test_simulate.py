@@ -155,6 +155,30 @@ class TestRun:
         with pytest.raises(DataError, match="step 3: share update collapsed"):
             run(spec, InfluenceMatrix(n=2, n_y=1, coeffs=coeffs))
 
+    @pytest.mark.parametrize("initial, payoff, dt", [
+        ((0.5, 0.5), (1.0, 1.0, 0.0, 0.0), 8.0),
+        ((0.5, 0.5), (1.0, 0.8, 0.0, 1.0), 5.0),
+        ((1.0, -0.0), (0.0, 1.0, 1.0, 0.0), 1.0),
+    ], ids=["far-past-one", "a-rounding-error-past-one", "a-vertex-with-minus-zero"])
+    def test_clamped_steps_have_the_bytes_of_iterated_steps(self, initial, payoff, dt):
+        """From (0.5, 0.5) the first step takes share 1 past 1.0. At dt = 8 it
+        overshoots by 1.5 and share 2 falls as far below 0.0. At dt = 5 it
+        overshoots by a rounding error while share 2 stays a rounding error
+        above 0.0: in a duopoly only then does the clamp to 1.0 change the
+        shares. At the vertex (1.0, -0.0) share 2 steps to -0.0, which the
+        clamp keeps. Every input is 1, so the coefficients are the payoffs."""
+        alpha = InfluenceMatrix(n=2, n_y=1, coeffs=np.array(payoff)[:, None])
+        spec = ScenarioSpec(inputs=np.ones((4, 1)), initial=SharesState(np.array(initial)),
+                            horizon=3, dt=dt)
+        trajectory = run(spec, alpha)
+        assert trajectory.shares[1, 0] == 1.0
+        x = spec.initial
+        for t in range(spec.horizon):
+            x, payoff_t, rates = step(x, spec.inputs[t], alpha, dt)
+            assert trajectory.payoffs[t].tobytes() == payoff_t.entries.tobytes()
+            assert trajectory.rates[t].tobytes() == rates.tobytes()
+            assert trajectory.shares[t + 1].tobytes() == x.shares.tobytes()
+
     def test_repeated_runs_are_bitwise_identical(self):
         alpha = duopoly_alpha((2, -1, 1, 3, 2, 0))
         spec = custom_scenario(wrap_inputs(ramp_inputs(20)),
@@ -240,6 +264,10 @@ def raised(build):
 
 HALF = SharesState(np.array([0.5, 0.5]))
 
+# The duopoly's vertices, with the signed zeros that a share can hold.
+DUOPOLY_VERTICES = tuple(SharesState(np.array(v)) for v in
+                         ([1.0, 0.0], [0.0, 1.0], [1.0, -0.0], [-0.0, 1.0]))
+
 # Coefficients and inputs: signed zeros half the time, so that payoff rows
 # hold zero entries and zero minimums.
 ZERO_RICH = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
@@ -287,8 +315,12 @@ class TestInputTable:
         """Every row of the payoff and rate blocks has the bytes of the one
         iterated ``step`` returns, the final unstepped row included. Signed
         zeros in the coefficients and inputs make rows whose minimum is
-        zero, and dt above 1 drives shares into the clamp."""
+        zero, and dt above 1 drives shares into the clamp. A duopoly starts
+        at a vertex half the time, so that the zero shares' signs are
+        compared too."""
         alpha, inputs, initial = zero_rich_run(data, n, n_y, rows)
+        if n == 2:
+            initial = data.draw(st.one_of(st.just(initial), st.sampled_from(DUOPOLY_VERTICES)))
         trajectory = run(ScenarioSpec(inputs=inputs, initial=initial, horizon=rows - 1,
                                       dt=dt), alpha)
         zero_minimums = sum(min(synthesize_payoff(alpha, y).floats) == 0.0 for y in inputs)
