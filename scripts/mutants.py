@@ -131,11 +131,36 @@ MUTANTS = (
            "if False:",
            ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
             "test_a_record_spanning_lines_is_read_line_by_line",)),
+    Mutant("numpy's reader takes lines with an extra field", DATASET,
+           """line.count(",") == commas and len(line)""",
+           "len(line)",
+           ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
+            "test_an_extra_field_among_plain_lines_names_its_line",)),
+    Mutant("numpy's reader takes a line over csv's field size limit", DATASET,
+           "len(line) <= limit and ",
+           "",
+           ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
+            "test_the_first_bad_row_wins_over_a_later_row_the_csv_reader_rejects",)),
+    Mutant("the labels of lines that numpy parses keep their spaces", DATASET,
+           """[line.partition(",")[0].strip() for line in lines]""",
+           """[line.partition(",")[0] for line in lines]""",
+           ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
+            "test_plain_lines_are_parsed_by_numpy_with_their_labels_stripped",)),
     Mutant("a share row whose fsum overflows escapes the sum check", DATASET,
            "except OverflowError:",
            "except ZeroDivisionError:",
            ("tests/test_cli.py::TestUnreadableFiles::"
             "test_share_row_whose_sum_overflows_is_data_error_with_line",)),
+    Mutant("the trajectory writer repeats each block's boundary row", SIMULATE,
+           "range(0, len(trajectory), _WRITE_ROWS)",
+           "range(0, len(trajectory), _WRITE_ROWS - 1)",
+           ("tests/test_simulate.py::TestTrajectoryCsv::"
+            "test_rows_across_write_blocks_equal_per_row_formatting",)),
+    Mutant("the trajectory writer drops each block's boundary row", SIMULATE,
+           "s[start:start + _WRITE_ROWS]",
+           "s[start:start + _WRITE_ROWS - 1]",
+           ("tests/test_simulate.py::TestTrajectoryCsv::"
+            "test_rows_across_write_blocks_equal_per_row_formatting",)),
     Mutant("the chart's y map computes y - 1 for 1 - y", SVGCHART,
            "(1.0 - y) * _PLOT_H",
            "(y - 1.0) * _PLOT_H",

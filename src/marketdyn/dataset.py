@@ -5,6 +5,19 @@ are free-text provenance. The header is
 ``label,share_1,...,share_n,y_1,...,y_K`` and every data row carries one
 period label (opaque but strictly increasing), the share of each strategy,
 and the raw value of each external input.
+
+Data lines take one of two parse paths, with the same values and errors.
+numpy's C reader parses them when the whole input allows it: no line holds
+a quote or a NUL, each has exactly the header's number of fields, and none
+is longer than csv's field size limit. A csv reader then splits every line
+at its commas, and numpy reads each field with a subset of float()'s
+grammar (no underscores, no non-ASCII digits), giving float()'s value.
+Otherwise, or when numpy rejects a field, a csv reader reads every line and
+float() converts each value; that path is the reference, the only one for
+quoted fields, and the source of every error message.
+
+A dataset holds its share rows as one read-only (row, strategy) block; the
+SharesState of a row is built when that row is read.
 """
 
 from __future__ import annotations
@@ -12,6 +25,8 @@ from __future__ import annotations
 import copy
 import csv
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,12 +44,40 @@ _CONSTANT_INPUT_VALUE = 0.5
 EXAMPLE_DATA_NAME = "example_market.csv"
 
 
+class ShareRows(Sequence):
+    """A dataset's share rows as one read-only (row, strategy) ``block``
+    whose rows passed SharesState's checks. Reading row t builds its
+    SharesState, bit for bit that row; nothing is kept."""
+
+    __slots__ = ("block",)
+
+    def __init__(self, block: np.ndarray):
+        self.block = block
+
+    @classmethod
+    def _of_states(cls, states) -> "ShareRows":
+        n = states[0].n
+        if any(s.n != n for s in states):
+            raise DataError("all share rows must have the same number of strategies")
+        return cls(_readonly([s.floats for s in states]))
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __getitem__(self, t) -> SharesState:
+        return SharesState._of_checked(tuple(self.block[operator.index(t)].tolist()))
+
+
 @dataclass(frozen=True)
 class MarketDataset:
-    """Aligned per-period observations: labels, shares, raw inputs."""
+    """Aligned per-period observations: labels, shares, raw inputs.
+
+    ``shares`` may be given as a sequence of SharesState or as ShareRows,
+    and is held as ShareRows: one (row, strategy) block, each row read as a
+    SharesState built on read."""
 
     labels: tuple[str, ...]
-    shares: tuple[SharesState, ...]
+    shares: ShareRows
     inputs: np.ndarray
     ownership: tuple[int, ...]
     provenance: str = ""
@@ -48,12 +91,12 @@ class MarketDataset:
         for a, b in zip(labels, labels[1:]):
             if not a < b:
                 raise DataError(f"labels must be strictly increasing, got {a!r} before {b!r}")
-        n = self.shares[0].n
-        if any(s.n != n for s in self.shares):
-            raise DataError("all share rows must have the same number of strategies")
-        ownership = _checked_ownership(self.ownership, inputs.shape[1], n)
+        shares = self.shares
+        if not isinstance(shares, ShareRows):
+            shares = ShareRows._of_states(shares)
+        ownership = _checked_ownership(self.ownership, inputs.shape[1], shares.block.shape[1])
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "shares", tuple(self.shares))
+        object.__setattr__(self, "shares", shares)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "ownership", ownership)
 
@@ -62,14 +105,14 @@ class MarketDataset:
 
     @property
     def n(self) -> int:
-        return self.shares[0].n
+        return self.shares.block.shape[1]
 
     @property
     def n_y(self) -> int:
         return self.inputs.shape[1]
 
     def share_series(self, strategy: int = 0) -> np.ndarray:
-        return np.array([s.floats[strategy] for s in self.shares])
+        return self.shares.block[:, strategy].copy()
 
     def with_inputs(self, inputs: np.ndarray) -> "MarketDataset":
         """This dataset with another input table. Only the table is checked:
@@ -239,11 +282,37 @@ def _records(lines: list[str]):
     return csv.reader(lines)
 
 
+def _plain(lines: list[str], width: int) -> bool:
+    """Whether a csv reader would split each line at its commas into
+    ``width`` fields: no line holds a quote or a NUL, each has
+    ``width - 1`` commas, and none is longer than csv's field size limit."""
+    commas = width - 1
+    limit = csv.field_size_limit()
+    return all(
+        line.count(",") == commas and len(line) <= limit and '"' not in line and "\0" not in line
+        for line in lines
+    )
+
+
 def _parse_block(lines: list[str], width: int) -> tuple[list[str], np.ndarray]:
     """The labels and the (rows, width - 1) block of float() values of the
     data lines, up to the first line that the csv reader rejects, that does
     not have ``width`` fields or that has a value float() rejects. Their
-    count is that line's index."""
+    count is that line's index.
+
+    When ``_plain`` holds, numpy's C reader parses the values and each label
+    is its line's text before the first comma; numpy accepts a subset of
+    float()'s grammar and gives float()'s value. If it rejects a field, or
+    ``_plain`` fails, the csv reader and float() read every line.
+    """
+    if lines and _plain(lines, width):
+        try:
+            block = np.loadtxt(lines, delimiter=",", usecols=range(1, width), comments=None,
+                               dtype=float, ndmin=2)
+        except ValueError:
+            pass  # the csv path finds the line and its error
+        else:
+            return [line.partition(",")[0].strip() for line in lines], block
     labels = []
     values = []
     try:
@@ -330,9 +399,10 @@ def _dataset_from_table(provenance, header_no, header, numbers, lines) -> Market
     _raise_first(numbers, lines, ~passed, len(labels), check)
     if len(labels) < 2:
         raise DataError("length >= 2 required, got %d data rows" % len(labels))
+    normalized.setflags(write=False)
     return MarketDataset(
         labels=tuple(labels),
-        shares=tuple(map(SharesState._of_checked, zip(*normalized.T.tolist()))),
+        shares=ShareRows(normalized),
         inputs=block[:, n:],
         ownership=alternating_ownership(n_y, n),
         provenance="\n".join(provenance),
@@ -348,11 +418,10 @@ def save_csv(dataset: MarketDataset, target) -> None:
     header += [f"share_{i + 1}" for i in range(dataset.n)]
     header += [f"y_{m + 1}" for m in range(dataset.n_y)]
     lines.append(",".join(header))
-    for t in range(len(dataset)):
-        row = [dataset.labels[t]]
-        row += [repr(v) for v in dataset.shares[t].floats]
-        row += [repr(float(v)) for v in dataset.inputs[t]]
-        lines.append(",".join(row))
+    for label, shares, inputs in zip(
+        dataset.labels, dataset.shares.block.tolist(), dataset.inputs.tolist()
+    ):
+        lines.append(",".join([label, *map(repr, shares), *map(repr, inputs)]))
     text = "\n".join(lines) + "\n"
     if hasattr(target, "write"):
         target.write(text)

@@ -197,8 +197,9 @@ def replicator_rates(payoff: PayoffMatrix, state: SharesState) -> np.ndarray:
 
 def _rates(a, x) -> list[float]:
     """The rates of replicator_rates for the row-major payoff entries ``a``
-    and the shares ``x``, both sequences of Python floats; simulate.run
-    steps on this alone."""
+    and the shares ``x``, both sequences of Python floats. simulate.run
+    steps three or more strategies on this; a duopoly it steps on local
+    floats, with these operations in this order."""
     n = len(x)
     fitness = []
     for i in range(0, n * n, n):

@@ -228,7 +228,7 @@ def _build_problem(
         terms=terms,
         inputs=np.array(dataset.inputs, dtype=float),
         target=dataset.share_series(0),
-        x0=np.array(dataset.shares[0].shares, dtype=float),
+        x0=np.array(dataset.shares.block[0]),
         train_len=train_len,
         total_len=total_len,
         dt=float(dt),

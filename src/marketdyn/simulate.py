@@ -23,13 +23,14 @@ functions _rates and _advance in their order; three or more strategies
 step through _rates and _advance, which replicator_rates and
 advance_shares wrap. Both give the bytes of iterated step. The final row,
 which no step advances, comes from the helpers themselves. The trajectory
-keeps its shares, payoffs and rates as arrays, and the writer formats them
-with one row template.
+keeps its shares, payoffs and rates as arrays, and the writer formats and
+writes them in blocks of rows, each with one row template.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +52,8 @@ from .influence import (
     normalize_payoff,
     synthesize_payoff,
 )
+
+_WRITE_ROWS = 512  # trajectory rows formatted and written at once
 
 
 @dataclass(frozen=True)
@@ -200,8 +203,9 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
 
     The stepped rows take their payoffs from _payoff_block, and their shares
     and rates from one loop on Python floats that appends every value to
-    its own column; the share and rate blocks are built once from those
-    columns, and every share row then gets SharesState's checks at once.
+    its own ``array("d")`` column; the share and rate blocks are built once
+    from those columns, and every share row then gets SharesState's checks
+    at once.
     The loop is chosen by ``alpha.n``: a duopoly steps its two shares on
     local floats, each operation that of _rates and _advance in their
     order, and three or more strategies step through _rates and _advance.
@@ -221,7 +225,7 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
     horizon, dt, n = spec.horizon, spec.dt, alpha.n
     payoffs, stop = _payoff_block(alpha, spec.inputs[:horizon])
     x = list(spec.initial.floats)
-    columns = [[v] for v in x] + [[] for _ in x]  # the shares, then the rates
+    columns = [array("d", [v]) for v in x] + [array("d") for _ in x]  # shares, then rates
     try:
         if n == 2:  # _rates and _advance for two shares, on local floats
             x0, x1 = x
@@ -313,21 +317,22 @@ def custom_scenario(
 
 def write_trajectory_csv(trajectory: Trajectory, target) -> None:
     """Trajectory table: t, every share, every payoff entry (row-major),
-    every rate. Numbers carry full round-trip precision (%.17g); the rows
-    are formatted from the blocks with one row template."""
+    every rate. Numbers carry full round-trip precision (%.17g). The rows
+    are streamed to ``target`` in blocks of _WRITE_ROWS, each formatted
+    with one row template, so at most one block's values and text exist at
+    a time."""
+    if not hasattr(target, "write"):
+        with open(target, "w", encoding="utf-8", newline="\n") as stream:
+            write_trajectory_csv(trajectory, stream)
+        return
     n = trajectory.shares.shape[1]
     header = ["t"]
     header += [f"share_{i + 1}" for i in range(n)]
     header += [f"A_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     header += [f"rate_{i + 1}" for i in range(n)]
-    block = np.column_stack(
-        [trajectory.times, trajectory.shares, trajectory.payoffs, trajectory.rates]
-    )
+    target.write(",".join(header) + "\n")
     row = ",".join(["%.17g"] * len(header)) + "\n"
-    text = ",".join(header) + "\n" + (row * len(block)) % tuple(block.ravel().tolist())
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        from pathlib import Path
-
-        Path(target).write_text(text, encoding="utf-8", newline="\n")
+    series = (trajectory.times, trajectory.shares, trajectory.payoffs, trajectory.rates)
+    for start in range(0, len(trajectory), _WRITE_ROWS):
+        block = np.column_stack([s[start:start + _WRITE_ROWS] for s in series])
+        target.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -98,6 +98,38 @@ class TestLoadCsv:
             load_csv(io.StringIO("# only a comment\n"))
 
 
+class TestShareRows:
+    def test_load_csv_builds_no_shares_state_until_a_row_is_read(self, monkeypatch):
+        text = "label,share_1,share_2,y_1\n" + "".join(
+            f"q{t:05d},{t / 20_000!r},{1.0 - t / 20_000!r},{t}\n" for t in range(20_000)
+        )
+        built = []
+
+        def counted(build):
+            return lambda *args: built.append(args) or build(*args)
+
+        monkeypatch.setattr(SharesState, "_of_checked", counted(SharesState._of_checked))
+        monkeypatch.setattr(SharesState, "_of_floats", counted(SharesState._of_floats))
+        monkeypatch.setattr(SharesState, "__init__", counted(SharesState.__init__))
+        dataset = load_csv(io.StringIO(text))
+        assert built == []
+        row = dataset.shares[12_345]
+        assert len(built) == 1
+        assert np.array(row.floats).tobytes() == dataset.shares.block[12_345].tobytes()
+        assert row.floats == (0.61725, 1.0 - 0.61725)
+
+    def test_rows_of_states_keep_their_bits_and_strategy_count(self):
+        states = (SharesState(np.array([0.1, 0.9])), SharesState(np.array([-0.0, 1.0])))
+        dataset = MarketDataset(labels=("a", "b"), shares=states,
+                                inputs=ramp_inputs(2), ownership=(0, 1, 0, 1))
+        assert not dataset.shares.block.flags.writeable
+        assert _bits([s.floats for s in dataset.shares]) == _bits([s.floats for s in states])
+        mixed = (states[0], SharesState(np.array([0.2, 0.3, 0.5])))
+        with pytest.raises(DataError, match="same number of strategies"):
+            MarketDataset(labels=("a", "b"), shares=mixed,
+                          inputs=ramp_inputs(2), ownership=(0, 1, 0, 1))
+
+
 class TestSaveCsv:
     def test_roundtrip_is_value_exact(self):
         dataset = make_dataset([0.3, 0.25, 0.5, 0.75], ramp_inputs(4))
@@ -295,7 +327,10 @@ def reference_rows(text: str, share_columns: bool):
     return comments, labels, shares, inputs
 
 
-_CELLS = ("nan", "inf", "-inf", " NaN ", "1_0", "abc", "", "1e999", "-1e308", "1e308")
+# "١" (ARABIC-INDIC DIGIT ONE) is 1.0 to float() and rejected by numpy's
+# reader; "\u00a01.5" (a no-break space first) is 1.5 to both.
+_CELLS = ("nan", "inf", "-inf", " NaN ", "1_0", "abc", "", "1e999", "-1e308", "1e308",
+          "١", "\u00a01.5", "+.5", "1E5", "infinity")
 
 
 _FAULTS = ("none",) * 12 + ("cell", "negative", "unclosed", "count", "quoted", "sum")
@@ -392,6 +427,38 @@ class TestIngestEqualsRowByRowLoad:
             assert _outcome(loaded_dataset) == _outcome(reference_dataset)
         assert _outcome(lambda: _bits(load_input_table(io.StringIO(text)))) == _outcome(
             reference_table)
+
+    def test_an_extra_field_among_plain_lines_names_its_line(self):
+        lines = ["label,share_1,share_2,y_1"] + [f"q{t},0.5,0.5,{t}" for t in range(6)]
+        lines[4] += ",0.5"
+        text = "\n".join(lines) + "\n"
+        for load in (load_csv, load_input_table):
+            with pytest.raises(DataError, match=r"^line 5: expected 4 fields, got 5$"):
+                load(io.StringIO(text))
+
+    def test_plain_lines_are_parsed_by_numpy_with_their_labels_stripped(self, monkeypatch):
+        text = ("label,share_1,share_2,y_1,y_2\n a ,+.5,0.5,1E5,\u00a01.5\n"
+                "\tb,0.25,0.75 ,-0.0, infinity\n")
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            parsed.append(loadtxt(*args, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        with pytest.raises(DataError, match=r"^line 3: values must be finite, got 'infinity'$"):
+            load_csv(io.StringIO(text))
+        dataset = load_csv(io.StringIO(text.replace("infinity", "2")))
+        _, labels, shares, inputs = reference_rows(text.replace("infinity", "2"), True)
+        assert len(parsed) == 2
+        assert list(dataset.labels) == labels == ["a", "b"]
+        assert _bits([s.floats for s in dataset.shares]) == _bits(shares)
+        assert _bits(dataset.inputs) == _bits(inputs)
+
+    def test_a_field_numpy_rejects_is_read_by_float(self):
+        table = load_input_table(io.StringIO("label,y_1,y_2\na,0.5,\u0661\nb,1_0,2\n"))
+        assert table.tolist() == [[0.5, 1.0], [10.0, 2.0]]
 
     def test_a_record_spanning_lines_is_read_line_by_line(self):
         text = 'label,share_1,share_2,y_1\na,0.5,0.5,"0.25\nb,0.5,0.5,0.75\n'

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from marketdyn.errors import DataError
 from marketdyn.influence import InfluenceMatrix, InputVector, normalize_payoff, synthesize_payoff
 from marketdyn.simulate import (
     ScenarioSpec,
+    Trajectory,
     advance_shares,
     constant_scenario,
     custom_scenario,
@@ -22,6 +24,7 @@ from marketdyn.simulate import (
     run,
     step,
     write_trajectory_csv,
+    _WRITE_ROWS,
 )
 
 OWNERSHIP = (0, 1, 0, 1)
@@ -472,3 +475,31 @@ class TestTrajectoryCsv:
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, out)
         assert out.read_text(encoding="utf-8").startswith("t,share_1")
+
+    @staticmethod
+    def long_trajectory(rows, n):
+        rng = np.random.default_rng(rows)
+        return Trajectory(shares=rng.random((rows, n)), payoffs=rng.random((rows, n * n)),
+                          rates=rng.normal(size=(rows, n)), dt=0.25)
+
+    @pytest.mark.parametrize("rows, n", [(2 * _WRITE_ROWS + 3, 2), (_WRITE_ROWS, 3), (1, 2)])
+    def test_rows_across_write_blocks_equal_per_row_formatting(self, rows, n):
+        traj = self.long_trajectory(rows, n)
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        table = np.column_stack([traj.times, traj.shares, traj.payoffs, traj.rates])
+        lines = buf.getvalue().split("\n")
+        assert lines[1:] == [",".join("%.17g" % v for v in row) for row in table.tolist()] + [""]
+
+    def test_writing_a_long_trajectory_holds_a_fraction_of_its_text(self, tmp_path):
+        traj = self.long_trajectory(20_000, 2)
+        out = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 20_000 * 9 * 15
+        assert peak < size / 4
