@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check of the grid search, the simulator, the loader and the
-chart: each mutant is a one-line source edit that a named test must catch.
+"""Mutation check of the payoff kernel, the grid search, the simulator, the
+loader and the chart: each mutant is a one-line source edit that a named test must catch.
 
 Run from the repository root:
 
@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+INFLUENCE = "src/marketdyn/influence.py"
 LEARN = "src/marketdyn/learn.py"
 SIMULATE = "src/marketdyn/simulate.py"
 DATASET = "src/marketdyn/dataset.py"
@@ -61,14 +62,24 @@ MUTANTS = (
            "lane = int(tied[0])",
            ("tests/test_learn.py::TestPooledSearch::"
             "test_lanes_out_of_id_order_reduce_to_the_smallest_minimizer",)),
-    Mutant("the degenerate-range fill reaches only a block's first step", LEARN,
+    Mutant("the payoff block's degenerate-range fill reaches only its first step", INFLUENCE,
            "pay[:, degenerate] = 0.5",
            "pay[:, :1][:, degenerate[:1]] = 0.5",
-           ("tests/test_learn.py::TestKernelBlocks::test_state_and_ids_are_bit_identical",)),
+           ("tests/test_influence.py::TestPayoffBlock::"
+            "test_every_column_has_the_bytes_of_the_one_matrix_helpers",)),
+    Mutant("the payoff block keeps a sum's -0.0", INFLUENCE,
+           "    pay += 0.0\n",
+           "",
+           ("tests/test_influence.py::TestPayoffBlock::"
+            "test_every_column_has_the_bytes_of_the_one_matrix_helpers",)),
     Mutant("the fitness reads the payoff matrix transposed", LEARN,
            "fitness += p[j::n] * x[j]",
            "fitness += p[j * n:j * n + n] * x[j]",
            ("tests/test_learn.py::TestKernelProperties::test_three_strategies_unconstrained",)),
+    Mutant("the kernel's rate loses its x_i factor", LEARN,
+           "            fitness *= x\n",
+           "",
+           ("tests/test_learn.py::TestInvariantFaces::test_a_zero_share_stays_zero_in_every_lane",)),
     Mutant("the winner's validation starts one step late", LEARN,
            "np.array([best.index]), problem.train_len,",
            "np.array([best.index]), problem.train_len + 1,",
@@ -78,9 +89,9 @@ MUTANTS = (
            "start = lo % block",
            "start = 0",
            ("tests/test_learn.py::TestErrorDump::test_dump_bytes_match_per_row_formatting",)),
-    Mutant("the simulator's payoff block sums the terms from the last input", SIMULATE,
-           "for m in range(alpha.n_y):",
-           "for m in reversed(range(alpha.n_y)):",
+    Mutant("the simulator's payoff terms run from the last input", SIMULATE,
+           "[(m, k * n_y + m) for m in range(n_y)]",
+           "[(m, k * n_y + m) for m in reversed(range(n_y))]",
            ("tests/test_scalar_path.py::TestPinnedTrajectoryBytes::"
             "test_three_strategies_at_quarter_steps",)),
     Mutant("the simulator's share step drops the clamp to 1.0", SIMULATE,
@@ -89,8 +100,8 @@ MUTANTS = (
            ("tests/test_simulate.py::TestAdvanceShares::"
             "test_clamps_a_share_above_one_before_renormalizing",)),
     Mutant("the simulator names the first passing payoff row as the failing one", SIMULATE,
-           "len(rows) if held.all() else int(np.argmin(held))",
-           "len(rows) if held.all() else int(np.argmax(held))",
+           "horizon if held.all() else int(np.argmin(held))",
+           "horizon if held.all() else int(np.argmax(held))",
            ("tests/test_simulate.py::TestRun::test_overflowing_step_is_a_data_error_naming_it",)),
     Mutant("a collapse in the simulator's share loop escapes as ArithmeticError", SIMULATE,
            "    except ArithmeticError:\n        stop = len(columns[-1])",

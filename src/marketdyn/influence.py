@@ -13,7 +13,11 @@ in two parts:
 
 Raw synthesized payoffs are min-max normalized to [0, 1] before they drive
 the dynamics, which makes the whole pipeline invariant under positive
-scaling of the coefficients.
+scaling of the coefficients. synthesize_payoff and normalize_payoff take
+one matrix on Python floats; payoff_block takes many coefficient matrices
+and input rows at once, with the same operations per element, and is the
+one payoff kernel that both simulate.run and the grid search call. The
+normalization policy (DEGENERATE_RANGE) lives here alone.
 """
 
 from __future__ import annotations
@@ -381,6 +385,47 @@ def normalize_payoff(payoff: PayoffMatrix) -> PayoffMatrix:
         span = hi - lo
         out = [(v - lo) / span for v in flat]
     return PayoffMatrix._of_floats(out, n, normalized=True)
+
+
+def payoff_block(values: np.ndarray, terms, rows: np.ndarray) -> np.ndarray:
+    """The normalized payoffs of many coefficient matrices ("lanes") under
+    many input rows ("steps"), as one (entry, step, lane) array.
+
+    ``values`` holds one column per lane and the coefficient values in its
+    rows, of which it reads only those that a term names; ``terms`` lists
+    per payoff entry its (input m, value row f) pairs in ascending m, so
+    that entry k of a lane is the sum over its terms of ``values[f] * y[m]``;
+    ``rows`` is the (step, input) array of the input rows. Per element the operations are those of synthesize_payoff and
+    normalize_payoff: the terms summed in input order, the minimum and
+    maximum taken over the entries, then subtract and divide, and 0.5 where
+    the range is degenerate. Each sum starts at its first term, and adding
+    0.0 at the end turns the one result that differs from a sum started at
+    0.0, a -0.0, into its +0.0; a sum from 0.0 is never -0.0, so leaving out
+    a term whose value is zero changes no bit. A non-finite sum leaves a NaN
+    in its normalized (step, lane) column, so a column that normalize_payoff
+    or synthesize_payoff would reject holds an entry outside [0, 1].
+
+    Overflow and NaN are not trapped here; a caller that expects them sets
+    ``np.errstate``.
+    """
+    y = [rows[:, m, None] for m in range(rows.shape[1])]  # (step, 1) columns
+    pay = np.zeros((len(terms), len(rows), values.shape[1]))
+    for k, entry in enumerate(terms):
+        if entry:
+            (m, f), *rest = entry
+            np.multiply(values[f], y[m], out=pay[k])
+            for m, f in rest:
+                pay[k] += values[f] * y[m]
+    pay += 0.0
+    lo = pay.min(axis=0)
+    rng = pay.max(axis=0)
+    rng -= lo
+    degenerate = rng < DEGENERATE_RANGE
+    pay -= lo
+    pay /= rng
+    if degenerate.any():
+        pay[:, degenerate] = 0.5
+    return pay
 
 
 def alpha_to_dict(alpha: InfluenceMatrix, ownership: tuple[int, ...]) -> dict:

@@ -9,14 +9,15 @@ lexicographic order of their free-value tuples and ties are broken toward
 the lexicographically smallest tuple, so the result is independent of
 evaluation order and of any internal parallelism.
 
-The candidate evaluations are pure and independent; the engine batches them
-into vectorized chunks whose per-candidate arithmetic is identical,
-operation for operation, to the scalar simulation path. A chunk is laid out
-as struct of arrays: one contiguous vector per free value, payoff entry and
-share. A payoff depends on the inputs and the coefficients, never on the
-shares, so the kernel normalizes the payoffs of a block of steps in one
-batch of array operations, as many steps as a fixed element budget holds
-for the lanes at hand, and its step loop updates only the shares and the
+The candidate evaluations are pure and independent; the engine batches
+them into vectorized chunks whose per-candidate arithmetic is identical,
+operation for operation, to the scalar simulation path. A chunk is laid
+out as struct of arrays: one contiguous vector per free value, payoff
+entry and share. A payoff depends on the inputs and the coefficients,
+never on the shares, so the kernel normalizes the payoffs of a block of
+steps in one call of influence.payoff_block, the payoff kernel that
+simulate.run calls too, as many steps as a fixed element budget holds for
+the lanes at hand, and its step loop updates only the shares and the
 error. Every block, a one-step block too, is one (step, input) slice of
 the input table. A run under a finite bound takes one step per block,
 since it drops lanes after almost every step.
@@ -74,13 +75,13 @@ import numpy as np
 from .dataset import MarketDataset
 from .errors import ConfigError, DataError
 from .influence import (
-    DEGENERATE_RANGE,
     ConstraintSpec,
     InfluenceMatrix,
     Position,
     alpha_to_dict,
     build_constraints,
     free_orbits,
+    payoff_block,
 )
 
 REPORT_FORMAT = "fit-report/1"
@@ -285,40 +286,6 @@ def _seed(problem: _Problem, state: np.ndarray) -> None:
 _PAYOFF_BLOCK = 65536
 
 
-def _payoffs(problem: _Problem, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The normalized payoff entries of a block of consecutive steps, for
-    every lane whose free values are the columns of ``values``: one array
-    laid out as (entry, step, lane).
-
-    ``rows`` holds the input rows that drive the steps, as a (step, input)
-    array, one row for a one-step block too. A payoff depends on its input
-    row and the coefficients only, so the block's steps are computed
-    together. Per element the operations are those of synthesize_payoff and
-    normalize_payoff: terms summed in input order, the minimum and maximum
-    taken over the entries, then subtract and divide, and 0.5 where the
-    range is degenerate. Zero-mask terms are skipped, which can only change
-    the sign of a zero.
-    """
-    y = [rows[:, m, None] for m in range(problem.n_y)]  # (step, 1) columns
-    pay = np.zeros((len(problem.terms), len(rows), values.shape[1]))
-    for k, entry in enumerate(problem.terms):
-        if entry:
-            (m, f), *rest = entry
-            np.multiply(values[f], y[m], out=pay[k])
-            for m, f in rest:
-                pay[k] += values[f] * y[m]
-
-    lo = pay.min(axis=0)
-    rng = pay.max(axis=0)
-    rng -= lo
-    degenerate = rng < DEGENERATE_RANGE
-    pay -= lo
-    pay /= rng
-    if degenerate.any():
-        pay[:, degenerate] = 0.5
-    return pay
-
-
 # Overflow and NaN show up as non-finite errors, which raise DataError.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _advance(
@@ -341,9 +308,11 @@ def _advance(
     per-element operation order, so batch and scalar errors agree bit for
     bit.
 
-    The payoffs do not depend on the shares, so _payoffs computes them a
-    block of steps at a time, as many steps as _PAYOFF_BLOCK elements hold
-    and at least one. The step loop runs only the replicator update, the
+    The payoffs do not depend on the shares, so influence.payoff_block
+    computes them a block of steps at a time, as many steps as
+    _PAYOFF_BLOCK elements hold and at least one, from the free-value rows
+    of ``state`` and the problem's terms; the zero-mask terms are left out,
+    which changes no bit. The step loop runs only the replicator update, the
     renormalization and the error, each operation once on the whole
     (strategy, lane) share array. After each step a lane whose partial
     error over the training length exceeds ``bound`` is dropped, and so is
@@ -359,7 +328,7 @@ def _advance(
     rows = problem.inputs[start - 1:stop - 1]
 
     for b in range(0, len(rows), steps):
-        pay = _payoffs(problem, state, rows[b:b + steps])
+        pay = payoff_block(state, problem.terms, rows[b:b + steps])
         for p, goal in zip(pay.swapaxes(0, 1), target[b:b + steps]):  # (entry, lane) each
             x = state[shares:-1]
             # row i: sum over j of p[i * n + j] * x[j], j ascending

@@ -13,14 +13,15 @@ The step helpers (synthesize_payoff, normalize_payoff, replicator_rates,
 advance_shares, step) compute one step on Python floats in the learn
 kernel's per-element order; on vectors of two to sixteen entries numpy's
 per-call cost exceeds the arithmetic. run takes the same operations in two
-halves. A payoff depends on its input row alone, so _payoff_block
-normalizes the payoffs of every stepped row in one batch of array
-operations, each element in the helpers' order. The loop then steps only
-the shares, on Python floats, and builds no value object per step; which
-loop runs is chosen by the number of strategies. A duopoly (n = 2) steps
-its two shares on local floats, each operation that of the float
-functions _rates and _advance in their order; three or more strategies
-step through _rates and _advance, which replicator_rates and
+halves. A payoff depends on its input row alone, so run normalizes the
+payoffs of every stepped row in one call of influence.payoff_block, the
+payoff kernel of the grid search, with the coefficients as its one lane;
+each element goes through the helpers' operations in their order. The loop
+then steps only the shares, on Python floats, and builds no value object
+per step; which loop runs is chosen by the number of strategies. A duopoly
+(n = 2) steps its two shares on local floats, each operation that of the
+float functions _rates and _advance in their order; three or more
+strategies step through _rates and _advance, which replicator_rates and
 advance_shares wrap. Both give the bytes of iterated step. The final row,
 which no step advances, comes from the helpers themselves. The trajectory
 keeps its shares, payoffs and rates as arrays, and the writer formats and
@@ -46,12 +47,7 @@ from .dynamics import (
     replicator_rates,
 )
 from .errors import DataError
-from .influence import (
-    DEGENERATE_RANGE,
-    InfluenceMatrix,
-    normalize_payoff,
-    synthesize_payoff,
-)
+from .influence import InfluenceMatrix, normalize_payoff, payoff_block, synthesize_payoff
 
 _WRITE_ROWS = 512  # trajectory rows formatted and written at once
 
@@ -162,36 +158,9 @@ def step(
     return advance_shares(state, rates, dt), payoff, rates
 
 
-# Overflow and NaN show up as rows that fail the payoff checks.
+# Overflow and NaN in the payoff block show up as rows that fail the payoff
+# checks; the rest of run computes on Python floats or on checked values.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _payoff_block(alpha: InfluenceMatrix, rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """The normalized payoff entries that the (step, input) array ``rows``
-    drives, as one (step, entry) block, and the index of the first row whose
-    payoffs the one-step helpers reject (``len(rows)`` if none).
-
-    Per element the operations are those of synthesize_payoff and
-    normalize_payoff: terms summed from 0.0 in input order, the minimum and
-    maximum taken per row, then subtract and divide, and 0.5 where the range
-    is degenerate.
-    """
-    raw = np.zeros((len(rows), alpha.n * alpha.n))
-    for m in range(alpha.n_y):
-        raw += rows[:, m, None] * alpha.coeffs[:, m]
-    lo = raw.min(axis=1)
-    # Where a row's minimum is zero, normalize_payoff takes numpy's minimum
-    # of that row, whose sign the subtraction shows. A sum from 0.0 is never
-    # -0.0, so this only guards against a change in how the rows are summed.
-    for i in np.flatnonzero(lo == 0.0):
-        lo[i] = raw[i].min()
-    span = raw.max(axis=1) - lo
-    pay = (raw - lo[:, None]) / span[:, None]
-    pay[span < DEGENERATE_RANGE] = 0.5
-    # PayoffMatrix's checks: finite raw entries, and normalized entries in
-    # [0, 1], which a NaN fails too.
-    held = np.isfinite(raw).all(axis=1) & ((pay >= 0.0) & (pay <= 1.0)).all(axis=1)
-    return pay, len(rows) if held.all() else int(np.argmin(held))
-
-
 def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
     """Iterate the step over the whole horizon.
 
@@ -201,7 +170,8 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
     payoffs or shares come out non-finite, or whose shares collapse, raises
     DataError naming the step, with the message that ``step`` raises there.
 
-    The stepped rows take their payoffs from _payoff_block, and their shares
+    The stepped rows take their payoffs from one influence.payoff_block
+    call, whose rows all get PayoffMatrix's checks at once, and their shares
     and rates from one loop on Python floats that appends every value to
     its own ``array("d")`` column; the share and rate blocks are built once
     from those columns, and every share row then gets SharesState's checks
@@ -222,15 +192,20 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
             f"dimension mismatch: coefficients expect {alpha.n_y} inputs and {alpha.n} "
             f"strategies, scenario has {spec.inputs.shape[1]} and {spec.initial.n}"
         )
-    horizon, dt, n = spec.horizon, spec.dt, alpha.n
-    payoffs, stop = _payoff_block(alpha, spec.inputs[:horizon])
+    horizon, dt, n, n_y = spec.horizon, spec.dt, alpha.n, alpha.n_y
+    terms = [[(m, k * n_y + m) for m in range(n_y)] for k in range(n * n)]
+    payoffs = payoff_block(alpha.coeffs.reshape(-1, 1), terms, spec.inputs[:horizon])[..., 0]
+    # PayoffMatrix's checks: every normalized entry in [0, 1]; a non-finite
+    # raw entry leaves a NaN in its step's column, which fails that too
+    held = ((payoffs >= 0.0) & (payoffs <= 1.0)).all(axis=0)
+    stop = horizon if held.all() else int(np.argmin(held))
     x = list(spec.initial.floats)
     columns = [array("d", [v]) for v in x] + [array("d") for _ in x]  # shares, then rates
     try:
         if n == 2:  # _rates and _advance for two shares, on local floats
             x0, x1 = x
             s0, s1, r0s, r1s = (column.append for column in columns)
-            for p00, p01, p10, p11 in payoffs[:stop].tolist():
+            for p00, p01, p10, p11 in zip(*payoffs[:, :stop].tolist()):
                 f0 = 0.0 + p00 * x0 + p01 * x1
                 f1 = 0.0 + p10 * x0 + p11 * x1
                 mean = 0.0 + x0 * f0 + x1 * f1
@@ -251,7 +226,7 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
                 r0s(r0)
                 r1s(r1)
         else:
-            for a in payoffs[:stop].tolist():
+            for a in zip(*payoffs[:, :stop].tolist()):
                 r = _rates(a, x)
                 x = _advance(x, r, dt)
                 for column, value in zip(columns, x + r):
@@ -279,7 +254,7 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
     final_rates = replicator_rates(payoff, SharesState._of_checked(tuple(shares[-1].tolist())))
     return Trajectory(
         shares=shares,
-        payoffs=np.vstack([payoffs, payoff.floats]),
+        payoffs=np.vstack([payoffs.T, payoff.floats]),
         rates=np.vstack([rates, final_rates]),
         dt=dt,
     )

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import marketdyn
 from marketdyn.dataset import MarketDataset
@@ -48,6 +49,19 @@ def ramp_inputs(length: int, n_y: int = 4) -> np.ndarray:
     for t in range(length):
         rows.append([((t + 1 + 3 * m) % (5 + m)) / (4.0 + m) for m in range(n_y)])
     return np.array(rows)
+
+
+def face_state(data, n):
+    """Shares on a face of the simplex: a drawn non-empty proper subset of
+    the strategies hold +0.0 or -0.0, the rest positive weights that sum
+    to 1. Returns the state and the indices of its zeros."""
+    zeros = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    weights = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    weights[zeros] = 0.0
+    shares = weights / weights.sum()
+    shares[zeros] = data.draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                       min_size=len(zeros), max_size=len(zeros)))
+    return SharesState(shares), zeros
 
 
 @pytest.fixture(scope="session")

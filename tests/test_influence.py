@@ -1,7 +1,11 @@
 """Tests for constrained coefficient matrices and payoff synthesis."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ALT_REFERENCE,
@@ -29,6 +33,7 @@ from marketdyn.influence import (
     free_orbits,
     load_alpha,
     normalize_payoff,
+    payoff_block,
     payoff_coords,
     payoff_index,
     save_alpha,
@@ -217,6 +222,60 @@ class TestPayoffSynthesis:
             a = normalize_payoff(synthesize_payoff(alpha, y)).entries
             b = normalize_payoff(synthesize_payoff(tripled, y)).entries
             assert np.allclose(a, b, atol=1e-12)
+
+
+# Coefficients and inputs for the payoff kernel: signed zeros, which make
+# zero sums and zero minimums; values within 1e-13 of zero, whose ranges
+# fall on both sides of the degenerate range; and magnitudes up to 1e308,
+# whose sums and ranges overflow.
+KERNEL_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0),
+                          st.floats(-1e-13, 1e-13), st.floats(-1e308, 1e308))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A (lane, entry, input) coefficient array for n 2-4 and n_y 1-4, and
+    a (step, input) array of input rows."""
+    n, n_y = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    lanes, steps = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    coeffs = draw(st.lists(KERNEL_FLOATS, min_size=lanes * n * n * n_y,
+                           max_size=lanes * n * n * n_y))
+    rows = draw(st.lists(KERNEL_FLOATS, min_size=steps * n_y, max_size=steps * n_y))
+    return np.array(coeffs).reshape(lanes, n * n, n_y), np.array(rows).reshape(steps, n_y)
+
+
+class TestPayoffBlock:
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_cases())
+    # raw entries (-0.0, 0.0, 1.0, 1.0): the first sum is -0.0 unless the
+    # block adds 0.0 to it, and subtracting a minimum of +0.0 keeps that sign
+    @example(case=(np.array([-0.0, 0.0, 1.0, 1.0]).reshape(1, 4, 1), np.array([[1.0]])))
+    def test_every_column_has_the_bytes_of_the_one_matrix_helpers(self, case):
+        """Each (step, lane) column holds what normalize_payoff and
+        synthesize_payoff give for that lane's coefficients and that step's
+        inputs, or, where they raise, a NaN or an entry outside [0, 1].
+        Leaving out the terms whose value is zero in every lane, as the
+        grid search leaves out its zero-mask terms, changes no bit."""
+        coeffs, rows = case
+        lanes, entries, n_y = coeffs.shape
+        values = coeffs.reshape(lanes, -1).T  # row k * n_y + m: coefficient (k, m)
+        terms = [[(m, k * n_y + m) for m in range(n_y)] for k in range(entries)]
+        nonzero = [[(m, f) for m, f in entry if values[f].any()] for entry in terms]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            block = payoff_block(values, terms, rows)
+            sparse = payoff_block(values, nonzero, rows)
+        assert block.shape == (entries, len(rows), lanes)
+        assert sparse.tobytes() == block.tobytes()
+        for lane in range(lanes):
+            alpha = InfluenceMatrix(n=math.isqrt(entries), n_y=n_y, coeffs=coeffs[lane])
+            for t, y in enumerate(rows):
+                column = block[:, t, lane]
+                try:
+                    expected = normalize_payoff(synthesize_payoff(alpha, y)).floats
+                except ValueError:
+                    assert not ((column >= 0.0) & (column <= 1.0)).all()
+                else:
+                    assert column.tobytes() == np.array(expected).tobytes()
 
 
 class TestAlphaSerialization:

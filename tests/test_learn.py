@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DUOPOLY_MASK, DUOPOLY_PAIRS, DUOPOLY_SPEC, duopoly_alpha, make_dataset, ramp_inputs
+from conftest import (DUOPOLY_MASK, DUOPOLY_PAIRS, DUOPOLY_SPEC, duopoly_alpha, face_state,
+                      make_dataset, ramp_inputs)
 from marketdyn.dataset import MarketDataset
 from marketdyn.dynamics import SharesState
 from marketdyn.errors import ConfigError, DataError
@@ -673,6 +674,36 @@ class TestKernelProperties:
         best = float(table.min())
         assert report.train_error == best
         assert report.tie_class_size == int(np.count_nonzero(table == best))
+
+
+class TestInvariantFaces:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4), n_y=st.integers(1, 3),
+           rows=st.integers(5, 12), dt=st.sampled_from([0.25, 1.0, 4.0]),
+           radius=st.integers(1, 2))
+    def test_a_zero_share_stays_zero_in_every_lane(self, data, n, n_y, rows, dt, radius):
+        """The kernel's lanes started from a dataset whose first share row
+        holds +0.0 or -0.0 keep that share a zero at every step."""
+        initial, zeros = face_state(data, n)
+        value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+        inputs = np.array(data.draw(st.lists(st.lists(value, min_size=n_y, max_size=n_y),
+                                             min_size=rows, max_size=rows)))
+        ownership = tuple(m % n for m in range(n_y))
+        dataset = MarketDataset(labels=tuple(f"t{k:02d}" for k in range(rows)),
+                                shares=(initial,) * rows, inputs=inputs, ownership=ownership)
+        spec = ConstraintSpec(mode="unconstrained", swap=tuple(range(n)),
+                              input_pairing=tuple(range(n_y)), ownership=ownership)
+        problem = learn._build_problem(dataset, spec, 0.2, dt)
+        lanes = data.draw(st.integers(1, 20))
+        free = len(problem.orbits)
+        state = np.empty((free + n + 1, lanes))
+        state[:free] = draw_values(data, free, lanes, radius)
+        learn._seed(problem, state)
+        ids = np.arange(lanes)
+        for t in range(1, rows):
+            assert (state[free:free + n][zeros] == 0.0).all()
+            state, ids = learn._advance(problem, state, ids, t, t + 1)
+        assert (state[free:free + n][zeros] == 0.0).all()
 
 
 def iterated_validation_error(dataset, report, dt):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import duopoly_alpha, make_dataset, ramp_inputs, RECOVERY_TARGET
+from conftest import duopoly_alpha, face_state, make_dataset, ramp_inputs, RECOVERY_TARGET
 from marketdyn.dataset import MarketDataset
 from marketdyn.dynamics import SIMPLEX_TOL, SharesState, mixed_equilibrium, replicator_rates
 from marketdyn.errors import DataError
@@ -285,6 +285,21 @@ def zero_rich_run(data, n, n_y, rows):
     weights = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
     alpha = InfluenceMatrix(n=n, n_y=n_y, coeffs=np.array(coeffs).reshape(n * n, n_y))
     return alpha, inputs, SharesState(weights / weights.sum())
+
+
+class TestInvariantFaces:
+    """A share that starts at zero has the rate x_i (f_i - mean) = 0, so it
+    stays a zero: every face of the simplex is invariant."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4), n_y=st.integers(1, 4),
+           rows=st.integers(2, 20), dt=st.sampled_from([0.25, 1.0, 4.0]))
+    def test_a_zero_share_stays_zero_at_every_step(self, data, n, n_y, rows, dt):
+        alpha, inputs, _ = zero_rich_run(data, n, n_y, rows)
+        initial, zeros = face_state(data, n)
+        trajectory = run(ScenarioSpec(inputs=inputs, initial=initial, horizon=rows - 1,
+                                      dt=dt), alpha)
+        assert (trajectory.shares[:, zeros] == 0.0).all()
 
 
 class TestInputTable:
