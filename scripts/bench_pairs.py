@@ -23,6 +23,13 @@ names every metric beyond its bound. The summary also says whether
 every run passed its output checks and whether both sides wrote the same
 sha256 for every input and output file of each seed. Each run's result and
 record are kept under .bench_build/bench_pairs/.
+
+Before each run, a speed probe times a fixed pure-Python loop and a fixed
+numpy kernel in this process. The summary holds every run's probe, and for
+each pair the ratio of the change's probe to the parent's; a pair with a
+ratio outside PROBE_RANGE is flagged, and one stderr line names it, since
+the machine changed speed between its two runs. The probe changes no
+metric, bound or claim rule.
 """
 
 from __future__ import annotations
@@ -36,10 +43,15 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
+PROBE_RANGE = (0.8, 1.25)  # probe ratios of a pair run at one machine speed
+_PROBE_DATA = np.random.default_rng(0).random(200_000)
 
 
 def parse_args(argv):
@@ -103,6 +115,43 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{tree.name} {workload} seed {seed}: exit {proc.returncode}\n"
                            f"{proc.stderr[-2000:]}")
     return {"result": json.loads(lines[-1]), "record": json.loads(lines[-2][len("record: "):])}
+
+
+def _python_loop() -> int:
+    total = 0
+    for i in range(200_000):
+        total += i * i % 7
+    return total
+
+
+def _numpy_kernel() -> np.ndarray:
+    return np.sort(_PROBE_DATA * 1.5 + 2.0)
+
+
+def probe() -> dict:
+    """Seconds of a fixed pure-Python loop and of a fixed numpy kernel,
+    each the median of five timings."""
+    timings = {}
+    for name, kernel in (("python_s", _python_loop), ("numpy_s", _numpy_kernel)):
+        samples = []
+        for _ in range(5):
+            start = time.perf_counter()
+            kernel()
+            samples.append(time.perf_counter() - start)
+        timings[name] = statistics.median(samples)
+    return timings
+
+
+def probe_ratios(parent: dict, change: dict) -> dict:
+    """Per probe kernel, the change's time over the parent's."""
+    return {name: change[name] / parent[name] for name in parent}
+
+
+def probe_flagged(ratios: dict) -> bool:
+    """Whether a pair's probe ratios say the machine changed speed between
+    its two runs: any ratio outside PROBE_RANGE."""
+    low, high = PROBE_RANGE
+    return not all(low <= ratio <= high for ratio in ratios.values())
 
 
 def rounded(value: float) -> float:
@@ -169,6 +218,20 @@ def claim_result(better: str, unit: str, parent: list[float], change: list[float
     }
 
 
+def probe_summary(first_seed: int, parent: list[dict], change: list[dict]) -> dict:
+    """Every run's probe in pair order, each pair's probe ratios, and the
+    seeds of the pairs that probe_flagged names."""
+    ratios = [probe_ratios(p["probe"], c["probe"]) for p, c in zip(parent, change)]
+    return {
+        "rule": f"a pair is flagged when a probe ratio lies outside "
+                f"[{PROBE_RANGE[0]}, {PROBE_RANGE[1]}]",
+        "parent": [{k: rounded(v) for k, v in r["probe"].items()} for r in parent],
+        "change": [{k: rounded(v) for k, v in r["probe"].items()} for r in change],
+        "ratios": [{k: rounded(v) for k, v in r.items()} for r in ratios],
+        "flagged_seeds": [first_seed + k for k, r in enumerate(ratios) if probe_flagged(r)],
+    }
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     seconds = args.spec["run_seconds"]
@@ -186,7 +249,9 @@ def main(argv=None) -> int:
                 seed = args.first_seed + k
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
+                    speed = probe()
                     run = run_once(trees[side], workload, seed, seconds)
+                    run["probe"] = speed
                     runs.setdefault((workload, side), []).append(run)
                     (raw_dir / f"{side}-{workload}-seed{seed}.json").write_text(
                         json.dumps(run, indent=1) + "\n", encoding="utf-8")
@@ -237,6 +302,7 @@ def main(argv=None) -> int:
                                   "change": sum(r["result"]["failed"] for r in change)},
             "output_sha256_identical_per_seed": all(
                 p["record"]["sha256"] == c["record"]["sha256"] for p, c in zip(parent, change)),
+            "probe": probe_summary(args.first_seed, parent, change),
             "metrics": {
                 name: metric_summary(better, bound,
                                      [r["result"]["metrics"][name]["value"] for r in parent],
@@ -248,6 +314,10 @@ def main(argv=None) -> int:
     beyond = [f"{workload} {name}" for workload, entry in summary["workloads"].items()
               for name, metric in entry["metrics"].items() if metric["beyond_bound"]]
     print("beyond bound: " + (", ".join(beyond) if beyond else "none"), file=sys.stderr)
+    flagged = [f"{workload} seed {seed}" for workload, entry in summary["workloads"].items()
+               for seed in entry["probe"]["flagged_seeds"]]
+    print("speed changed within pairs: " + (", ".join(flagged) if flagged else "none"),
+          file=sys.stderr)
     print(f"summary written to {args.out}", file=sys.stderr)
     return 0
 

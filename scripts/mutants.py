@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check of the payoff kernel, the grid search, the simulator, the
-loader and the chart: each mutant is a one-line source edit that a named test must catch.
+loader, the chart and the number formatter: each mutant is a one-line
+source edit that a named test must catch.
 
 Run from the repository root:
 
@@ -37,6 +38,7 @@ LEARN = "src/marketdyn/learn.py"
 SIMULATE = "src/marketdyn/simulate.py"
 DATASET = "src/marketdyn/dataset.py"
 SVGCHART = "src/marketdyn/svgchart.py"
+NUMTEXT = "src/marketdyn/numtext.py"
 RUN_TIMEOUT_S = 900
 
 
@@ -68,7 +70,7 @@ MUTANTS = (
            ("tests/test_influence.py::TestPayoffBlock::"
             "test_every_column_has_the_bytes_of_the_one_matrix_helpers",)),
     Mutant("the payoff block keeps a sum's -0.0", INFLUENCE,
-           "    pay += 0.0\n",
+           "    np.copysign(lo, -1.0, out=lo, where=lo == 0.0)\n",
            "",
            ("tests/test_influence.py::TestPayoffBlock::"
             "test_every_column_has_the_bytes_of_the_one_matrix_helpers",)),
@@ -181,6 +183,26 @@ MUTANTS = (
            "pixels(np.float64(boundary_x + 0.5), 1.0)",
            ("tests/test_svgchart.py::TestPinnedChartBytes::"
             "test_observed_replay_with_validation_boundary",)),
+    Mutant("the %.17g tie margin dropped, so exact ties round half-up", NUMTEXT,
+           "~(covered | zero) | (np.abs(fr - 0.5) < _TIE)",
+           "~(covered | zero)",
+           ("tests/test_numtext.py::test_families_equal_percent_formatting",)),
+    Mutant("the %.17g decade is judged after rounding", NUMTEXT,
+           "(whole < 10**16) | (whole >= 10**17)",
+           "(n < 10**16) | (n > 10**17)",
+           ("tests/test_numtext.py::test_the_misjudged_decade_case_prints_its_own_digits",)),
+    Mutant("%g's fixed notation ends below 10**16, not 10**17", NUMTEXT,
+           "fixed = (k >= -4) & (k < 17)",
+           "fixed = (k >= -4) & (k < 16)",
+           ("tests/test_numtext.py::test_families_equal_percent_formatting",)),
+    Mutant("a %.17g cell of -0.0 loses its sign", NUMTEXT,
+           "50 * np.signbit(x)",
+           "50 * (x < 0.0)",
+           ("tests/test_numtext.py::test_polyline_and_trajectory_layouts",)),
+    Mutant("the %.2f tie margin dropped, so exact ties round half-up", NUMTEXT,
+           "~covered | (np.abs(fr - 0.5) < _TIE)",
+           "~covered",
+           ("tests/test_numtext.py::test_families_equal_percent_formatting",)),
 )
 
 

@@ -395,15 +395,16 @@ def payoff_block(values: np.ndarray, terms, rows: np.ndarray) -> np.ndarray:
     rows, of which it reads only those that a term names; ``terms`` lists
     per payoff entry its (input m, value row f) pairs in ascending m, so
     that entry k of a lane is the sum over its terms of ``values[f] * y[m]``;
-    ``rows`` is the (step, input) array of the input rows. Per element the operations are those of synthesize_payoff and
-    normalize_payoff: the terms summed in input order, the minimum and
-    maximum taken over the entries, then subtract and divide, and 0.5 where
-    the range is degenerate. Each sum starts at its first term, and adding
-    0.0 at the end turns the one result that differs from a sum started at
-    0.0, a -0.0, into its +0.0; a sum from 0.0 is never -0.0, so leaving out
-    a term whose value is zero changes no bit. A non-finite sum leaves a NaN
-    in its normalized (step, lane) column, so a column that normalize_payoff
-    or synthesize_payoff would reject holds an entry outside [0, 1].
+    ``rows`` is the (step, input) array of the input rows. Per element the
+    operations are those of synthesize_payoff and normalize_payoff: the
+    terms summed in input order, the minimum and maximum taken over the
+    entries, then subtract and divide, and 0.5 where the range is
+    degenerate. Each sum starts at its first term and may be -0.0; a zero
+    minimum is taken as -0.0, so a zero entry of either sign normalizes to
+    +0.0, as in the helpers, whose sums start at 0.0. So leaving out a term
+    whose value is zero changes no bit. A non-finite sum leaves a NaN in its
+    normalized (step, lane) column, so a column that normalize_payoff or
+    synthesize_payoff would reject holds an entry outside [0, 1].
 
     Overflow and NaN are not trapped here; a caller that expects them sets
     ``np.errstate``.
@@ -416,8 +417,8 @@ def payoff_block(values: np.ndarray, terms, rows: np.ndarray) -> np.ndarray:
             np.multiply(values[f], y[m], out=pay[k])
             for m, f in rest:
                 pay[k] += values[f] * y[m]
-    pay += 0.0
     lo = pay.min(axis=0)
+    np.copysign(lo, -1.0, out=lo, where=lo == 0.0)
     rng = pay.max(axis=0)
     rng -= lo
     degenerate = rng < DEGENERATE_RANGE

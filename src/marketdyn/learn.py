@@ -83,6 +83,7 @@ from .influence import (
     free_orbits,
     payoff_block,
 )
+from .numtext import format_g17
 
 REPORT_FORMAT = "fit-report/1"
 DEFAULT_HOLDOUT = 0.2
@@ -586,8 +587,9 @@ def _dump_text(lo: int, values: np.ndarray, train: np.ndarray, radius: int) -> s
     The low free // 2 base-(2r+1) digits of the id come from a table of at
     most sqrt(MAX_CANDIDATES) entries, which repeat in order. The high
     digits are formatted once per run of consecutive ids that shares them,
-    from the run's first column. So only the id and the error are
-    formatted per line.
+    from the run's first column. So only the id is formatted per line; the
+    error column is formatted at once by numtext.format_g17, which leaves
+    every cell it cannot decide for certain to Python's %.
     """
     free_count, count = values.shape
     low_digits = free_count // 2
@@ -604,7 +606,7 @@ def _dump_text(lo: int, values: np.ndarray, train: np.ndarray, radius: int) -> s
     parts[0::4] = map(str, range(lo, lo + count))
     parts[1::4] = high_column
     parts[2::4] = (low * (count // block + 2))[start:start + count]
-    parts[3::4] = map("%.17g\n".__mod__, train.tolist())
+    parts[3::4] = format_g17(train[:, None]).splitlines(keepends=True)
     return "".join(parts)
 
 

@@ -25,7 +25,7 @@ strategies step through _rates and _advance, which replicator_rates and
 advance_shares wrap. Both give the bytes of iterated step. The final row,
 which no step advances, comes from the helpers themselves. The trajectory
 keeps its shares, payoffs and rates as arrays, and the writer formats and
-writes them in blocks of rows, each with one row template.
+writes them in blocks of rows, each as a whole by numtext.format_g17.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .dynamics import (
 )
 from .errors import DataError
 from .influence import InfluenceMatrix, normalize_payoff, payoff_block, synthesize_payoff
+from .numtext import format_g17
 
 _WRITE_ROWS = 512  # trajectory rows formatted and written at once
 
@@ -293,9 +294,10 @@ def custom_scenario(
 def write_trajectory_csv(trajectory: Trajectory, target) -> None:
     """Trajectory table: t, every share, every payoff entry (row-major),
     every rate. Numbers carry full round-trip precision (%.17g). The rows
-    are streamed to ``target`` in blocks of _WRITE_ROWS, each formatted
-    with one row template, so at most one block's values and text exist at
-    a time."""
+    are streamed to ``target`` in blocks of _WRITE_ROWS, so at most one
+    block's values and text exist at a time. numtext.format_g17 formats
+    each block as a whole; it leaves every cell it cannot decide for
+    certain to Python's %, so the bytes are those of per-cell %.17g."""
     if not hasattr(target, "write"):
         with open(target, "w", encoding="utf-8", newline="\n") as stream:
             write_trajectory_csv(trajectory, stream)
@@ -306,8 +308,7 @@ def write_trajectory_csv(trajectory: Trajectory, target) -> None:
     header += [f"A_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     header += [f"rate_{i + 1}" for i in range(n)]
     target.write(",".join(header) + "\n")
-    row = ",".join(["%.17g"] * len(header)) + "\n"
     series = (trajectory.times, trajectory.shares, trajectory.payoffs, trajectory.rates)
     for start in range(0, len(trajectory), _WRITE_ROWS):
         block = np.column_stack([s[start:start + _WRITE_ROWS] for s in series])
-        target.write((row * len(block)) % tuple(block.ravel().tolist()))
+        target.write(format_g17(block))

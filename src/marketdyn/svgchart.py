@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numtext import format_f2
+
 GENERATOR_COMMENT = "<!-- marketdyn chart format 1 -->"
 
 _PALETTE = ("#1f6fb4", "#d9541e", "#3a9c4e", "#8656b8", "#b3312f", "#777777")
@@ -39,7 +41,9 @@ def line_chart(times, shares, *, boundary_x: float | None = None) -> str:
     one polyline per strategy, on a y axis fixed at [0, 1].
 
     boundary_x, when given, draws a labeled dashed vertical rule (used to
-    mark where the training window ends).
+    mark where the training window ends). The points of each polyline are
+    formatted at once by numtext.format_f2, with the bytes of per-point
+    "%.2f,%.2f".
     """
     times = np.asarray(times, dtype=float)
     shares = np.asarray(shares, dtype=float)
@@ -103,11 +107,10 @@ def line_chart(times, shares, *, boundary_x: float | None = None) -> str:
     x_px, y_px = pixels(times, shares)
     xy = np.empty((len(times), 2))
     xy[:, 0] = x_px
-    template = " ".join(["%.2f,%.2f"] * len(times))
     for idx in range(shares.shape[1]):
         color = _PALETTE[idx % len(_PALETTE)]
         xy[:, 1] = y_px[:, idx]
-        points = template % tuple(xy.ravel().tolist())
+        points = format_f2(xy)[:-1]
         legend_y = _MARGIN_TOP + 16 * idx
         parts += [
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8" points="{points}"/>',

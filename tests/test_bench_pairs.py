@@ -39,3 +39,27 @@ class TestBeyondBound:
         assert summary["beyond_bound"] is True
         assert summary["bound"] == 0.1
         assert summary["change_wins"] == 0
+
+
+class TestSpeedProbe:
+    @pytest.mark.parametrize("ratios, flagged", [
+        ({"python_s": 1.0, "numpy_s": 1.0}, False),
+        ({"python_s": 0.8, "numpy_s": 1.25}, False),   # both ends of the range hold
+        ({"python_s": 1.3, "numpy_s": 1.0}, True),     # the change ran on a slower machine
+        ({"python_s": 1.0, "numpy_s": 0.7}, True),     # or on a faster one
+    ])
+    def test_a_pair_outside_the_range_is_flagged(self, ratios, flagged):
+        assert bench_pairs.probe_flagged(ratios) is flagged
+
+    def test_summary_names_the_flagged_pairs_and_keeps_every_probe(self):
+        def runs(*speeds):
+            return [{"probe": {"python_s": s, "numpy_s": 0.01}} for s in speeds]
+        summary = bench_pairs.probe_summary(5, runs(0.1, 0.1, 0.1), runs(0.1, 0.2, 0.09))
+        assert summary["flagged_seeds"] == [6]
+        assert summary["ratios"][1] == {"python_s": 2.0, "numpy_s": 1.0}
+        assert len(summary["parent"]) == len(summary["change"]) == 3
+
+    def test_probe_times_both_kernels(self):
+        timings = bench_pairs.probe()
+        assert set(timings) == {"python_s", "numpy_s"}
+        assert all(t > 0.0 for t in timings.values())

@@ -528,3 +528,18 @@ def test_import_loads_no_worker_pool_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_import_builds_no_formatter_table():
+    """The number formatter builds its tables on first use, from integer
+    arithmetic, so a CLI start pays for neither the tables nor a module of
+    exact arithmetic."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, marketdyn.cli; from marketdyn import numtext as t; "
+         "print(t._g17_tables.cache_info().currsize, t._f2_tables.cache_info().currsize, "
+         "'fractions' in sys.modules, 'decimal' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "False", "False"]

@@ -247,8 +247,8 @@ def kernel_cases(draw):
 class TestPayoffBlock:
     @settings(max_examples=150, deadline=None)
     @given(case=kernel_cases())
-    # raw entries (-0.0, 0.0, 1.0, 1.0): the first sum is -0.0 unless the
-    # block adds 0.0 to it, and subtracting a minimum of +0.0 keeps that sign
+    # raw entries (-0.0, 0.0, 1.0, 1.0): the first sum is -0.0, and
+    # subtracting a zero minimum that is not taken as -0.0 keeps that sign
     @example(case=(np.array([-0.0, 0.0, 1.0, 1.0]).reshape(1, 4, 1), np.array([[1.0]])))
     def test_every_column_has_the_bytes_of_the_one_matrix_helpers(self, case):
         """Each (step, lane) column holds what normalize_payoff and

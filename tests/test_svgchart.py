@@ -5,6 +5,7 @@ import hashlib
 import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,18 @@ def test_polyline_points_equal_per_point_formatting(drawn):
         return
     markup = svgchart.line_chart(times, shares)
     assert re.findall(r'<polyline [^>]*points="([^"]*)"/>', markup) == expected
+
+
+def test_long_polylines_equal_per_point_formatting():
+    """Polylines of enough points that their text is formatted as arrays."""
+    rng = np.random.default_rng(3)
+    times = (np.arange(400) * 0.25).tolist()
+    shares = rng.random((400, 2))
+    shares[::7] = [0.0, 1.0]
+    shares[::11] = [-0.0, 0.5]
+    markup = svgchart.line_chart(times, shares)
+    assert re.findall(r'<polyline [^>]*points="([^"]*)"/>', markup) == expected_points(
+        times, shares.tolist())
 
 
 @pytest.mark.parametrize("times, shares", [
