@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Mutation check of the payoff kernel, the grid search, the simulator, the
-loader, the chart and the number formatter: each mutant is a one-line
+share checks, the loader, the chart and the number formatter: each mutant is a one-line
 source edit that a named test must catch.
 
 Run from the repository root:
@@ -37,6 +37,7 @@ INFLUENCE = "src/marketdyn/influence.py"
 LEARN = "src/marketdyn/learn.py"
 SIMULATE = "src/marketdyn/simulate.py"
 DATASET = "src/marketdyn/dataset.py"
+DYNAMICS = "src/marketdyn/dynamics.py"
 SVGCHART = "src/marketdyn/svgchart.py"
 NUMTEXT = "src/marketdyn/numtext.py"
 RUN_TIMEOUT_S = 900
@@ -110,8 +111,8 @@ MUTANTS = (
            "    except ZeroDivisionError:\n        stop = len(columns[-1])",
            ("tests/test_simulate.py::TestRun::test_collapsing_step_is_a_data_error_naming_it",)),
     Mutant("the simulator's final rates read the shares before the last step", SIMULATE,
-           "SharesState._of_checked(tuple(shares[-1].tolist()))",
-           "SharesState._of_checked(tuple(shares[-2].tolist()))",
+           "SharesState(shares[-1])",
+           "SharesState(shares[-2])",
            ("tests/test_scalar_path.py::TestPinnedTrajectoryBytes::"
             "test_two_thousand_step_duopoly",)),
     Mutant("the duopoly share loop drops the clamp to 1.0", SIMULATE,
@@ -139,11 +140,15 @@ MUTANTS = (
            "(shares <= SHARE_SUM_MAX)",
            ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
             "test_the_first_bad_row_wins_over_a_later_row_whose_sum_overflows",)),
-    Mutant("one csv reader reads every line, a quoted one too", DATASET,
-           """if any('"' in line for line in lines):""",
-           "if False:",
-           ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
-            "test_a_record_spanning_lines_is_read_line_by_line",)),
+    Mutant("the line-by-line fallback skips a rejected line", DATASET,
+           "            break  # _raise_first raises",
+           "            continue  # _raise_first raises",
+           ("tests/test_dataset.py::TestLoadCsv::test_field_count_mismatch_reports_line",)),
+    Mutant("the share total sums column by column up to 9 shares", DYNAMICS,
+           "if block.shape[1] < 8:",
+           "if block.shape[1] < 9:",
+           ("tests/test_scalar_path.py::TestValueObjects::"
+            "test_long_share_vectors_sum_as_numpy_does",)),
     Mutant("numpy's reader takes lines with an extra field", DATASET,
            """line.count(",") == commas and len(line)""",
            "len(line)",

@@ -12,12 +12,14 @@ a quote or a NUL, each has exactly the header's number of fields, and none
 is longer than csv's field size limit. A csv reader then splits every line
 at its commas, and numpy reads each field with a subset of float()'s
 grammar (no underscores, no non-ASCII digits), giving float()'s value.
-Otherwise, or when numpy rejects a field, a csv reader reads every line and
-float() converts each value; that path is the reference, the only one for
-quoted fields, and the source of every error message.
+Otherwise, or when numpy rejects a field, the lines are read one by one, each
+by a csv reader of its own and float(), up to the first line with an error;
+that path is the reference, the only one for quoted fields, and the source
+of every error message.
 
-A dataset holds its share rows as one read-only (row, strategy) block; the
-SharesState of a row is built when that row is read.
+A dataset holds its share rows as one read-only (row, strategy) block, whose
+rows were checked as a whole; reading a row builds its SharesState, which
+checks it again.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class ShareRows(Sequence):
         return len(self.block)
 
     def __getitem__(self, t) -> SharesState:
-        return SharesState._of_checked(tuple(self.block[operator.index(t)].tolist()))
+        return SharesState(self.block[operator.index(t)])
 
 
 @dataclass(frozen=True)
@@ -270,18 +272,6 @@ def _fields(line_no: int, line: str) -> list[str]:
         raise DataError(f"line {line_no}: {exc}") from exc
 
 
-def _records(lines: list[str]):
-    """Each line's fields, as a csv reader of that line alone reads them.
-
-    Only a quote can carry a record onto the next line. So one reader reads
-    all the lines when none holds a quote, and each line gets a reader of
-    its own when one does.
-    """
-    if any('"' in line for line in lines):
-        return (next(csv.reader((line,))) for line in lines)
-    return csv.reader(lines)
-
-
 def _plain(lines: list[str], width: int) -> bool:
     """Whether a csv reader would split each line at its commas into
     ``width`` fields: no line holds a quote or a NUL, each has
@@ -294,39 +284,35 @@ def _plain(lines: list[str], width: int) -> bool:
     )
 
 
-def _parse_block(lines: list[str], width: int) -> tuple[list[str], np.ndarray]:
+def _parse_block(numbers: list[int], lines: list[str],
+                 width: int) -> tuple[list[str], np.ndarray]:
     """The labels and the (rows, width - 1) block of float() values of the
-    data lines, up to the first line that the csv reader rejects, that does
-    not have ``width`` fields or that has a value float() rejects. Their
-    count is that line's index.
+    data lines (numbered ``numbers``), up to the first line that
+    ``_parse_row`` rejects. Their count is that line's index.
 
     When ``_plain`` holds, numpy's C reader parses the values and each label
     is its line's text before the first comma; numpy accepts a subset of
-    float()'s grammar and gives float()'s value. If it rejects a field, or
-    ``_plain`` fails, the csv reader and float() read every line.
+    float()'s grammar and gives float()'s value, and it takes non-finite
+    values, which the block checks then reject. If it rejects a field, or
+    ``_plain`` fails, ``_parse_row`` reads the lines one by one.
     """
     if lines and _plain(lines, width):
         try:
             block = np.loadtxt(lines, delimiter=",", usecols=range(1, width), comments=None,
                                dtype=float, ndmin=2)
         except ValueError:
-            pass  # the csv path finds the line and its error
+            pass  # _parse_row finds the line and its error
         else:
             return [line.partition(",")[0].strip() for line in lines], block
     labels = []
     values = []
-    try:
-        for fields in _records(lines):
-            if len(fields) != width:
-                break
-            try:
-                values.extend(map(float, fields[1:]))
-            except ValueError:
-                break
-            labels.append(fields[0].strip())
-    except csv.Error:
-        pass  # an earlier row's error comes first; the row check raises this one
-    del values[len(labels) * (width - 1):]  # a rejected line's leading values
+    for line_no, line in zip(numbers, lines):
+        try:
+            label, row = _parse_row(line_no, line, width)
+        except DataError:
+            break  # _raise_first raises this line's error after every earlier row's
+        labels.append(label)
+        values.extend(row)
     return labels, np.array(values, dtype=float).reshape(len(labels), width - 1)
 
 
@@ -367,7 +353,7 @@ def load_csv(source) -> MarketDataset:
 def _dataset_from_table(provenance, header_no, header, numbers, lines) -> MarketDataset:
     n, n_y = _parse_header(header, header_no)
     width = 1 + n + n_y
-    labels, block = _parse_block(lines, width)
+    labels, block = _parse_block(numbers, lines, width)
     shares = block[:, :n]
     # Rows that math.fsum may add: finite, no share negative or above the
     # sum's upper bound. Every other row fails a check, and its sum could
@@ -394,7 +380,7 @@ def _dataset_from_table(provenance, header_no, header, numbers, lines) -> Market
             )
         if any(s < 0.0 for s in raw_shares):
             raise DataError(f"line {line_no}: negative share")
-        SharesState._of_floats([s / total for s in raw_shares])
+        SharesState([s / total for s in raw_shares])
 
     _raise_first(numbers, lines, ~passed, len(labels), check)
     if len(labels) < 2:
@@ -442,7 +428,7 @@ def load_input_table(source) -> np.ndarray:
     for m, name in enumerate(header[1:]):
         if name != f"y_{m + 1}":
             raise DataError(f"line {header_no}: unexpected column {name!r}")
-    _, block = _parse_block(lines, len(header))
+    _, block = _parse_block(numbers, lines, len(header))
 
     def check(line_no, line):
         _parse_row(line_no, line, len(header))

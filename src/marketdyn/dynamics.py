@@ -3,17 +3,15 @@
 Share growth rates, interior equilibria of the two-strategy system, and
 their stability in closed form.
 
-PayoffMatrix and SharesState hold their validated values as tuples of
-Python floats, which the step helpers compute on. Each builds its read-only
-numpy array only when ``entries`` or ``shares`` is first read, so
-iterating the step helpers builds none.
+PayoffMatrix and SharesState each have one constructor, which validates
+the caller's values and holds them twice: as a read-only numpy array
+(``entries``, ``shares``) and as a tuple of Python floats (``floats``), which
+the step helpers compute on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,9 +39,9 @@ class PayoffMatrix:
     """Square payoff matrix; entry (i, j) is what strategy i earns against
     strategy j. ``normalized`` asserts all entries lie in [0, 1].
 
-    The validated entries are held as ``floats``, a row-major tuple of
-    Python floats, which the step helpers read. ``entries`` is the read-only
-    (n, n) array, built on first read and kept."""
+    ``entries`` is the read-only (n, n) array of the caller's values, and
+    ``floats`` the same entries as a row-major tuple of Python floats, which
+    the step helpers read."""
 
     floats: tuple[float, ...]
     n: int
@@ -55,40 +53,23 @@ class PayoffMatrix:
             raise ValueError(f"payoff matrix must be square, got shape {a.shape}")
         if a.shape[0] < 2:
             raise ValueError("payoff matrix needs at least 2 strategies")
-        self._hold(tuple(a.ravel().tolist()), a.shape[0], normalized)
-        self.__dict__["entries"] = a  # the array cached_property would build
-
-    @classmethod
-    def _of_floats(cls, flat: list[float], n: int, normalized: bool) -> "PayoffMatrix":
-        """The matrix of n*n row-major Python floats, checked as the
-        constructor checks them; no array is built."""
-        if n < 2:  # raises the constructor's shape error
-            return cls([flat[i * n:(i + 1) * n] for i in range(n)], normalized)
-        payoff = object.__new__(cls)
-        payoff._hold(tuple(flat), n, normalized)
-        return payoff
-
-    def _hold(self, flat: tuple[float, ...], n: int, normalized: bool) -> None:
-        if not all(map(math.isfinite, flat)):
+        if not np.isfinite(a).all():
             raise ValueError("payoff entries must be finite")
-        if normalized and (min(flat) < 0.0 or max(flat) > 1.0):
+        if normalized and not ((a >= 0.0) & (a <= 1.0)).all():
             raise ValueError("normalized payoff entries must lie in [0, 1]")
-        object.__setattr__(self, "floats", flat)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "floats", tuple(a.ravel().tolist()))
+        object.__setattr__(self, "n", a.shape[0])
         object.__setattr__(self, "normalized", normalized)
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        return _readonly(self.floats).reshape(self.n, self.n)
 
 
 @dataclass(frozen=True, init=False)
 class SharesState:
     """Point on the n-simplex: one market-share fraction per strategy.
 
-    The validated shares are held as ``floats``, a tuple of Python floats,
-    which the step helpers read. ``shares`` is the read-only array, built on
-    first read and kept."""
+    ``shares`` is the read-only array of the caller's values, and ``floats``
+    the same shares as a tuple of Python floats, which the step helpers
+    read."""
 
     floats: tuple[float, ...]
 
@@ -96,68 +77,40 @@ class SharesState:
         x = _readonly(shares)
         if x.ndim != 1 or x.size < 2:
             raise ValueError(f"shares must be a vector of length >= 2, got shape {x.shape}")
-        self._hold(tuple(x.tolist()))
-        self.__dict__["shares"] = x  # the array cached_property would build
-
-    @classmethod
-    def _of_floats(cls, values: list[float]) -> "SharesState":
-        """The state of a list of Python floats, checked as the constructor
-        checks them; no array is built."""
-        if len(values) < 2:  # raises the constructor's shape error
-            return cls(values)
-        state = object.__new__(cls)
-        state._hold(tuple(values))
-        return state
-
-    @classmethod
-    def _of_checked(cls, values: tuple[float, ...]) -> "SharesState":
-        """The state of a tuple of floats that already passed ``_hold``'s
-        checks, as the loader makes them on a whole share block with
-        ``_simplex_rows``; nothing is checked again."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "floats", values)
-        return state
-
-    def _hold(self, values: tuple[float, ...]) -> None:
-        if not all(map(math.isfinite, values)):
+        if not np.isfinite(x).all():
             raise ValueError("shares must be finite")
-        if min(values) < 0.0 or max(values) > 1.0:
+        if not ((x >= 0.0) & (x <= 1.0)).all():
             raise ValueError("each share must lie in [0, 1]")
-        # The total must be numpy's: from 8 entries on its pairwise sum keeps
-        # 8 partial sums, which round differently and can move a total across
-        # the tolerance. Below 8 it adds one by one from 0.0, as this loop does.
-        if len(values) < 8:
-            total = 0.0
-            for v in values:
-                total += v
-        else:
-            total = float(np.sum(values))
+        total = float(_row_totals(x[None])[0])
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"shares must sum to 1 within {SIMPLEX_TOL}, got {total!r}")
-        object.__setattr__(self, "floats", values)
-
-    @cached_property
-    def shares(self) -> np.ndarray:
-        return _readonly(self.floats)
+        object.__setattr__(self, "shares", x)
+        object.__setattr__(self, "floats", tuple(x.tolist()))
 
     @property
     def n(self) -> int:
         return len(self.floats)
 
 
+def _row_totals(block: np.ndarray) -> np.ndarray:
+    """The share total of each row of a (rows, n) float block. Below 8
+    shares the columns are added one by one from 0.0. From 8 on the total is
+    numpy's pairwise sum, which keeps 8 partial sums that round differently
+    and can move a total across the tolerance; along the last axis of a
+    C-contiguous block numpy adds each row as it adds the row alone."""
+    if block.shape[1] < 8:
+        total = np.zeros(len(block))
+        for column in block.T:
+            total += column
+        return total
+    return np.ascontiguousarray(block).sum(axis=1)
+
+
 def _simplex_rows(block: np.ndarray) -> np.ndarray:
     """Which rows of a (rows, n) float block SharesState accepts, each
-    checked as ``_hold`` checks one state, its total summed in the same
-    order: column by column from 0.0 below 8 shares, and from 8 on by
-    numpy, whose sum along the last axis of a C-contiguous block adds each
-    row as it adds the row alone."""
+    checked as SharesState checks one vector."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if block.shape[1] < 8:
-            total = np.zeros(len(block))
-            for column in block.T:
-                total += column
-        else:
-            total = np.ascontiguousarray(block).sum(axis=1)
+        total = _row_totals(block)
     inside = ((block >= 0.0) & (block <= 1.0)).all(axis=1)
     return np.isfinite(block).all(axis=1) & inside & (np.abs(total - 1.0) <= SIMPLEX_TOL)
 

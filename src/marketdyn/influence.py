@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -236,16 +236,14 @@ def constraint_check(
 class InfluenceMatrix:
     """Coefficient matrix mapping inputs to payoff entries, with its
     structural constraints attached. Construction validates the constraints
-    exactly; a violated mask or pairing raises immediately. ``coeff_rows``
-    holds the rows of ``coeffs`` as tuples of Python floats, which
-    synthesize_payoff reads."""
+    exactly; a violated mask or pairing raises immediately. ``coeffs`` is
+    held as a read-only (n*n, n_y) array."""
 
     n: int
     n_y: int
     coeffs: np.ndarray
     zero_mask: frozenset[Position] = frozenset()
     symmetry_pairs: frozenset[Pair] = frozenset()
-    coeff_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = _readonly(self.coeffs)
@@ -270,7 +268,6 @@ class InfluenceMatrix:
         if not constraint_check(c, mask, pairs):
             raise ValueError("coefficients violate the attached constraints")
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "coeff_rows", tuple(map(tuple, c.tolist())))
         object.__setattr__(self, "zero_mask", mask)
         object.__setattr__(self, "symmetry_pairs", pairs)
 
@@ -356,12 +353,13 @@ def synthesize_payoff(alpha: InfluenceMatrix, y) -> PayoffMatrix:
         )
     v = y.tolist()
     raw = []
-    for row in alpha.coeff_rows:
+    for row in alpha.coeffs.tolist():
         acc = 0.0
         for c_km, v_m in zip(row, v):
             acc += c_km * v_m
         raw.append(acc)
-    return PayoffMatrix._of_floats(raw, alpha.n, normalized=False)
+    n = alpha.n
+    return PayoffMatrix([raw[i * n:(i + 1) * n] for i in range(n)])
 
 
 def normalize_payoff(payoff: PayoffMatrix) -> PayoffMatrix:
@@ -384,7 +382,7 @@ def normalize_payoff(payoff: PayoffMatrix) -> PayoffMatrix:
     else:
         span = hi - lo
         out = [(v - lo) / span for v in flat]
-    return PayoffMatrix._of_floats(out, n, normalized=True)
+    return PayoffMatrix([out[i * n:(i + 1) * n] for i in range(n)], normalized=True)
 
 
 def payoff_block(values: np.ndarray, terms, rows: np.ndarray) -> np.ndarray:

@@ -22,10 +22,11 @@ per step; which loop runs is chosen by the number of strategies. A duopoly
 (n = 2) steps its two shares on local floats, each operation that of the
 float functions _rates and _advance in their order; three or more
 strategies step through _rates and _advance, which replicator_rates and
-advance_shares wrap. Both give the bytes of iterated step. The final row,
-which no step advances, comes from the helpers themselves. The trajectory
-keeps its shares, payoffs and rates as arrays, and the writer formats and
-writes them in blocks of rows, each as a whole by numtext.format_g17.
+advance_shares wrap. Both give the bytes of iterated step. Only the final
+row, which no step advances, and the re-run of a failing step build value
+objects, through the helpers themselves. The trajectory keeps its shares,
+payoffs and rates as arrays, and the writer formats and writes them in
+blocks of rows, each as a whole by numtext.format_g17.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class Trajectory:
     @cached_property
     def states(self) -> tuple[SharesState, ...]:
         """The share rows as SharesState values, built on first read."""
-        return tuple(SharesState._of_floats(row) for row in self.shares.tolist())
+        return tuple(map(SharesState, self.shares))
 
     def share_series(self, strategy: int = 0) -> np.ndarray:
         return self.shares[:, strategy]
@@ -130,7 +131,7 @@ def advance_shares(state: SharesState, rates: np.ndarray, dt: float) -> SharesSt
     r = rates.tolist()
     if len(r) != len(x):
         raise ValueError(f"dimension mismatch: {len(x)} shares, {len(r)} rates")
-    return SharesState._of_floats(_advance(x, r, dt))
+    return SharesState(_advance(x, r, dt))
 
 
 def _advance(x, r, dt: float) -> list[float]:
@@ -241,8 +242,7 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
         stop = int(np.argmin(held))  # row t + 1 holds the shares of step t
     try:
         if stop < horizon:  # the first failing step, run again to raise its error
-            step(SharesState._of_checked(tuple(shares[stop].tolist())), spec.inputs[stop],
-                 alpha, dt)
+            step(SharesState(shares[stop]), spec.inputs[stop], alpha, dt)
             raise AssertionError(f"step {stop} fails in run but not in step()")
         payoff = normalize_payoff(synthesize_payoff(alpha, spec.inputs[horizon]))
     except (ValueError, ArithmeticError) as exc:
@@ -252,7 +252,7 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
             f"step {stop}: {exc}; the inputs may be too large for the payoff "
             "arithmetic (normalize the inputs)"
         ) from exc
-    final_rates = replicator_rates(payoff, SharesState._of_checked(tuple(shares[-1].tolist())))
+    final_rates = replicator_rates(payoff, SharesState(shares[-1]))
     return Trajectory(
         shares=shares,
         payoffs=np.vstack([payoffs.T, payoff.floats]),

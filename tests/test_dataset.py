@@ -108,8 +108,6 @@ class TestShareRows:
         def counted(build):
             return lambda *args: built.append(args) or build(*args)
 
-        monkeypatch.setattr(SharesState, "_of_checked", counted(SharesState._of_checked))
-        monkeypatch.setattr(SharesState, "_of_floats", counted(SharesState._of_floats))
         monkeypatch.setattr(SharesState, "__init__", counted(SharesState.__init__))
         dataset = load_csv(io.StringIO(text))
         assert built == []

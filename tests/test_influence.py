@@ -200,6 +200,16 @@ class TestPayoffSynthesis:
         with pytest.raises(ValueError, match="expect 4 inputs"):
             synthesize_payoff(alpha, np.ones(3))
 
+    @pytest.mark.parametrize("n, message", [
+        (0, "payoff matrix must be square, got shape (0,)"),
+        (1, "payoff matrix needs at least 2 strategies"),
+    ])
+    def test_too_few_strategies_keep_the_matrix_messages(self, n, message):
+        alpha = InfluenceMatrix(n=n, n_y=2, coeffs=np.ones((n * n, 2)))
+        with pytest.raises(ValueError) as info:
+            synthesize_payoff(alpha, np.ones(2))
+        assert str(info.value) == message
+
     def test_normalize_maps_to_unit_range(self):
         payoff = PayoffMatrix(np.array([[2.0, 4.0], [6.0, 10.0]]))
         normalized = normalize_payoff(payoff)

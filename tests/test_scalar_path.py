@@ -1,8 +1,8 @@
 """The scalar step path against numpy reference implementations.
 
-The step helpers and the validators of PayoffMatrix, SharesState and
-InputVector compute on Python floats. The references below are the earlier
-numpy bodies of the same functions. Every result must match them bit for
+The step helpers compute on Python floats, and the validators of
+PayoffMatrix, SharesState and InputVector on arrays. The references below
+are the earlier numpy bodies of the same functions. Every result must match them bit for
 bit, and every rejection must carry the same message.
 """
 
@@ -297,9 +297,9 @@ class TestValidatorsMatchNumpy:
 
 
 class TestValueObjects:
-    """SharesState and PayoffMatrix hold Python floats and build their
-    read-only array on first read; the array is the one numpy would build
-    from the values the caller passed."""
+    """SharesState and PayoffMatrix hold Python floats and a read-only
+    array, built once by the constructor; the array is the one numpy would
+    build from the values the caller passed."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(2, 4), as_list=st.booleans())
@@ -309,16 +309,15 @@ class TestValueObjects:
         given_values = values.tolist() if as_list else values
         payoff = PayoffMatrix(given_values)
         given_values[0][0] = 7.0  # changed by the caller after construction
-        for built in (payoff, PayoffMatrix._of_floats(expected.ravel().tolist(), n, False)):
-            assert built.floats == tuple(expected.ravel().tolist())
-            first = built.entries
-            assert first is built.entries
-            assert not first.flags.writeable
-            assert_same_bits(first, expected)
-            with pytest.raises(ValueError):
-                first[0, 0] = 0.5
-            with pytest.raises(ValueError):
-                first.ravel()[0] = 0.5
+        assert payoff.floats == tuple(expected.ravel().tolist())
+        first = payoff.entries
+        assert first is payoff.entries
+        assert not first.flags.writeable
+        assert_same_bits(first, expected)
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            first.ravel()[0] = 0.5
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(2, 9), as_list=st.booleans())
@@ -330,16 +329,15 @@ class TestValueObjects:
         given_values = x.tolist() if as_list else x
         state = SharesState(given_values)
         given_values[0] = 0.5  # changed by the caller after construction
-        for built in (state, SharesState._of_floats(expected.tolist())):
-            assert built.floats == tuple(expected.tolist())
-            assert [math.copysign(1.0, v) for v in built.floats] == \
-                [math.copysign(1.0, v) for v in expected]
-            first = built.shares
-            assert first is built.shares
-            assert not first.flags.writeable
-            assert_same_bits(first, expected)
-            with pytest.raises(ValueError):
-                first[0] = 0.5
+        assert state.floats == tuple(expected.tolist())
+        assert [math.copysign(1.0, v) for v in state.floats] == \
+            [math.copysign(1.0, v) for v in expected]
+        first = state.shares
+        assert first is state.shares
+        assert not first.flags.writeable
+        assert_same_bits(first, expected)
+        with pytest.raises(ValueError):
+            first[0] = 0.5
 
     def test_assignment_raises(self):
         state = SharesState([0.25, 0.75])
@@ -355,7 +353,7 @@ class TestValueObjects:
 
     def test_copies_and_pickles_hold_the_same_floats(self):
         state = SharesState([0.25, 0.75])
-        payoff = PayoffMatrix._of_floats([0.0, 1.0, 0.5, -0.0], 2, True)
+        payoff = PayoffMatrix([[0.0, 1.0], [0.5, -0.0]], normalized=True)
         for obj in (state, payoff):
             for clone in (copy.copy(obj), copy.deepcopy(obj),
                           pickle.loads(pickle.dumps(obj))):
@@ -365,25 +363,27 @@ class TestValueObjects:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_signed_zero_minimum_of_a_matrix_built_from_floats(self, n):
-        """The step path builds payoffs from floats; its first array, read
-        for a zero minimum, must pick numpy's zero as a caller's array does."""
+        """The step helpers build payoffs from rows of Python floats; the
+        array built from them, read for a zero minimum, must pick numpy's
+        zero as a caller's array does."""
         size = n * n
         for bits in range(2 ** (size - 1)):
             flat = [-0.0 if bits >> k & 1 else 0.0 for k in range(size - 1)] + [1.0]
             for shift in (0, size - 1):
                 rotated = flat[shift:] + flat[:shift]
                 entries = np.array(rotated).reshape(n, n)
-                got = normalize_payoff(PayoffMatrix._of_floats(rotated, n, False))
+                rows = [rotated[i * n:(i + 1) * n] for i in range(n)]
+                got = normalize_payoff(PayoffMatrix(rows))
                 assert_same_bits(got.entries, ref_normalize(entries))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_strategies_from_floats(self, n):
         rows = [[0.5] * n for _ in range(n)]
         with pytest.raises(ValueError) as info:
-            PayoffMatrix._of_floats([0.5] * (n * n), n, False)
+            PayoffMatrix(rows)
         assert str(info.value) == ref_payoff_check(np.array(rows), False)
         with pytest.raises(ValueError) as info:
-            SharesState._of_floats([1.0] * n)
+            SharesState([1.0] * n)
         assert str(info.value) == ref_shares_check(np.array([1.0] * n))
 
     @settings(max_examples=150, deadline=None)
@@ -391,8 +391,8 @@ class TestValueObjects:
            ulps=st.integers(-4, 4))
     def test_long_share_vectors_sum_as_numpy_does(self, data, n, sign, ulps):
         """From 8 shares on, numpy sums pairwise; totals at 1 +- 1e-9, moved
-        by a few ulps, must meet the tolerance as numpy's sum does, by both
-        constructors."""
+        by a few ulps, must meet the tolerance as numpy's sum does, given as
+        an array or as a list."""
         x = data.draw(share_vectors(n))
         largest = int(np.argmax(x))
         nudged = x[largest] + sign * SIMPLEX_TOL
@@ -402,7 +402,7 @@ class TestValueObjects:
         x[largest] = nudged
         expected = ref_shares_check(x)
         assert_outcome(lambda: SharesState(x), expected)
-        assert_outcome(lambda: SharesState._of_floats(x.tolist()), expected)
+        assert_outcome(lambda: SharesState(x.tolist()), expected)
 
 
 # --- pinned trajectory bytes --------------------------------------------------
