@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Mutation check of the payoff kernel, the grid search, the simulator, the
-share checks, the loader, the chart and the number formatter: each mutant is a one-line
-source edit that a named test must catch.
+share checks, the loader, the CLI's input scaling, the chart and the number
+formatter: each mutant is a one-line source edit that a named test must
+catch.
 
 Run from the repository root:
 
@@ -40,6 +41,7 @@ DATASET = "src/marketdyn/dataset.py"
 DYNAMICS = "src/marketdyn/dynamics.py"
 SVGCHART = "src/marketdyn/svgchart.py"
 NUMTEXT = "src/marketdyn/numtext.py"
+CLI = "src/marketdyn/cli.py"
 RUN_TIMEOUT_S = 900
 
 
@@ -102,19 +104,24 @@ MUTANTS = (
            "nxt = [max(x_i + dt * r_i, 0.0) for x_i, r_i in zip(x, r)]",
            ("tests/test_simulate.py::TestAdvanceShares::"
             "test_clamps_a_share_above_one_before_renormalizing",)),
-    Mutant("the simulator names the first passing payoff row as the failing one", SIMULATE,
-           "horizon if held.all() else int(np.argmin(held))",
-           "horizon if held.all() else int(np.argmax(held))",
+    Mutant("the simulator names the first passing share row as the failing one", SIMULATE,
+           "len(rates) if held.all() else int(np.argmin(held))",
+           "len(rates) if held.all() else int(np.argmax(held))",
            ("tests/test_simulate.py::TestRun::test_overflowing_step_is_a_data_error_naming_it",)),
     Mutant("a collapse in the simulator's share loop escapes as ArithmeticError", SIMULATE,
-           "    except ArithmeticError:\n        stop = len(columns[-1])",
-           "    except ZeroDivisionError:\n        stop = len(columns[-1])",
+           "    except ArithmeticError:",
+           "    except OverflowError:",
            ("tests/test_simulate.py::TestRun::test_collapsing_step_is_a_data_error_naming_it",)),
     Mutant("the simulator's final rates read the shares before the last step", SIMULATE,
            "SharesState(shares[-1])",
            "SharesState(shares[-2])",
            ("tests/test_scalar_path.py::TestPinnedTrajectoryBytes::"
             "test_two_thousand_step_duopoly",)),
+    Mutant("the duopoly rate loses its x0 factor", SIMULATE,
+           "r0 = x0 * (f0 - mean)",
+           "r0 = f0 - mean",
+           ("tests/test_simulate.py::TestNoClamp::"
+            "test_every_euler_update_lies_in_the_unit_interval",)),
     Mutant("the duopoly share loop drops the clamp to 1.0", SIMULATE,
            "c0 = 0.0 if c0 < 0.0 else 1.0 if c0 > 1.0 else c0",
            "c0 = 0.0 if c0 < 0.0 else c0",
@@ -135,6 +142,11 @@ MUTANTS = (
            "c1 = 0.0 if c1 <= 0.0 else 1.0 if c1 > 1.0 else c1",
            ("tests/test_simulate.py::TestRun::"
             "test_clamped_steps_have_the_bytes_of_iterated_steps",)),
+    Mutant("the CLI scales inputs over every row", CLI,
+           "(0, train_len)",
+           "(0, len(dataset))",
+           ("tests/test_cli_properties.py::"
+            "test_holdout_rows_change_only_the_validation_error",)),
     Mutant("the share block check drops the negative-share mask", DATASET,
            "(shares >= 0.0) & (shares <= SHARE_SUM_MAX)",
            "(shares <= SHARE_SUM_MAX)",

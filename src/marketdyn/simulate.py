@@ -22,11 +22,12 @@ per step; which loop runs is chosen by the number of strategies. A duopoly
 (n = 2) steps its two shares on local floats, each operation that of the
 float functions _rates and _advance in their order; three or more
 strategies step through _rates and _advance, which replicator_rates and
-advance_shares wrap. Both give the bytes of iterated step. Only the final
-row, which no step advances, and the re-run of a failing step build value
-objects, through the helpers themselves. The trajectory keeps its shares,
-payoffs and rates as arrays, and the writer formats and writes them in
-blocks of rows, each as a whole by numtext.format_g17.
+advance_shares wrap. Both give the bytes of iterated step. run finds a
+failing step in its share rows alone and runs it again through step, which
+raises its error. Only the final row, which no step advances, and that
+re-run build value objects, through the helpers themselves. The trajectory
+keeps its shares, payoffs and rates as arrays, and the writer formats and
+writes them in blocks of rows, each as a whole by numtext.format_g17.
 """
 
 from __future__ import annotations
@@ -160,28 +161,32 @@ def step(
     return advance_shares(state, rates, dt), payoff, rates
 
 
-# Overflow and NaN in the payoff block show up as rows that fail the payoff
-# checks; the rest of run computes on Python floats or on checked values.
+# Overflow in the payoff block leaves NaN in its step's column, and NaN
+# shares fail the share-row check; the rest of run computes on Python floats
+# or on checked values.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
     """Iterate the step over the whole horizon.
 
     Records horizon+1 rows, each bit for bit what iterating ``step`` from
     the initial state gives; the payoff and rates of the final row describe
-    where the system would head next but are not stepped. A step whose
-    payoffs or shares come out non-finite, or whose shares collapse, raises
-    DataError naming the step, with the message that ``step`` raises there.
+    where the system would head next but are not stepped.
 
     The stepped rows take their payoffs from one influence.payoff_block
-    call, whose rows all get PayoffMatrix's checks at once, and their shares
-    and rates from one loop on Python floats that appends every value to
-    its own ``array("d")`` column; the share and rate blocks are built once
-    from those columns, and every share row then gets SharesState's checks
-    at once.
+    call and their shares and rates from one loop on Python floats that
+    appends every value to its own ``array("d")`` column; the share and
+    rate blocks are built once from those columns.
     The loop is chosen by ``alpha.n``: a duopoly steps its two shares on
     local floats, each operation that of _rates and _advance in their
     order, and three or more strategies step through _rates and _advance.
     Both give the bytes of iterated ``step``.
+
+    A failing step is found in one place, the share rows: a payoff column
+    that PayoffMatrix rejects holds a NaN, which makes every share of its
+    step NaN or, for three or more strategies, ends the loop there, as a
+    collapse does. So the first share row that SharesState's checks reject,
+    or else the number of stepped rows, is the first failing step; ``step``
+    runs it again, and its error is raised as a DataError naming the step.
 
     The final row is computed by the one-step helpers, called through this
     module's attributes. perfbench's traced run wraps synthesize_payoff and
@@ -197,17 +202,13 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
     horizon, dt, n, n_y = spec.horizon, spec.dt, alpha.n, alpha.n_y
     terms = [[(m, k * n_y + m) for m in range(n_y)] for k in range(n * n)]
     payoffs = payoff_block(alpha.coeffs.reshape(-1, 1), terms, spec.inputs[:horizon])[..., 0]
-    # PayoffMatrix's checks: every normalized entry in [0, 1]; a non-finite
-    # raw entry leaves a NaN in its step's column, which fails that too
-    held = ((payoffs >= 0.0) & (payoffs <= 1.0)).all(axis=0)
-    stop = horizon if held.all() else int(np.argmin(held))
     x = list(spec.initial.floats)
     columns = [array("d", [v]) for v in x] + [array("d") for _ in x]  # shares, then rates
     try:
         if n == 2:  # _rates and _advance for two shares, on local floats
             x0, x1 = x
             s0, s1, r0s, r1s = (column.append for column in columns)
-            for p00, p01, p10, p11 in zip(*payoffs[:, :stop].tolist()):
+            for p00, p01, p10, p11 in zip(*payoffs.tolist()):
                 f0 = 0.0 + p00 * x0 + p01 * x1
                 f1 = 0.0 + p10 * x0 + p11 * x1
                 mean = 0.0 + x0 * f0 + x1 * f1
@@ -218,9 +219,7 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
                 # min(max(c, 0.0), 1.0), by the comparisons those builtins make
                 c0 = 0.0 if c0 < 0.0 else 1.0 if c0 > 1.0 else c0
                 c1 = 0.0 if c1 < 0.0 else 1.0 if c1 > 1.0 else c1
-                total = 0.0 + c0 + c1
-                if not total > 0.0:
-                    raise ArithmeticError("share update collapsed to the zero vector")
+                total = 0.0 + c0 + c1  # a collapse raises ZeroDivisionError below
                 x0 = c0 / total
                 x1 = c1 / total
                 s0(x0)
@@ -228,18 +227,17 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
                 r0s(r0)
                 r1s(r1)
         else:
-            for a in zip(*payoffs[:, :stop].tolist()):
+            for a in zip(*payoffs.tolist()):
                 r = _rates(a, x)
                 x = _advance(x, r, dt)
                 for column, value in zip(columns, x + r):
                     column.append(value)
-    except ArithmeticError:
-        stop = len(columns[-1])  # the step whose shares collapsed
+    except ArithmeticError:  # a collapse, with the shares of rows 0..step stored
+        pass
     shares = np.column_stack(columns[:n])
     rates = np.column_stack(columns[n:])
-    held = _simplex_rows(shares[1:])
-    if not held.all():
-        stop = int(np.argmin(held))  # row t + 1 holds the shares of step t
+    held = _simplex_rows(shares[1:])  # row t + 1 holds the shares of step t
+    stop = len(rates) if held.all() else int(np.argmin(held))
     try:
         if stop < horizon:  # the first failing step, run again to raise its error
             step(SharesState(shares[stop]), spec.inputs[stop], alpha, dt)

@@ -4,10 +4,13 @@ cause on a table that no loader may read, exits 2 naming the odd input
 count when a fit's full constraints cannot apply, writes trajectories on
 the simplex, and writes the same fit report for one and two workers (with a
 candidate dump too, and for `fit --auto-r` and a constant-market
-scenario)."""
+scenario). A fit's report, bar its validation error, and its candidate
+dump do not change when only the holdout rows do."""
 
 import contextlib
 import io
+import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -187,3 +190,54 @@ def test_every_command_exits_cleanly(table, normalize, values, y):
                 assert_on_simplex(out)
 
         checked("equilibria", "--alpha", alpha, "--y=" + ",".join(y[:n_y]))
+
+
+def duopoly_csv(shares, inputs):
+    """CSV text of a duopoly with n_y = 2: strategy 1's shares and the
+    input pairs, one row each."""
+    lines = ["label,share_1,share_2,y_1,y_2"]
+    lines += [",".join([f"t{k:02d}", repr(s), repr(1.0 - s), *map(repr, y)])
+              for k, (s, y) in enumerate(zip(shares, inputs))]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def holdout_pair(draw):
+    """CSV texts of two duopoly datasets with n_y = 2 and 5 to 12 rows that
+    differ only in the holdout rows (the last ceil(0.2 * rows), the default
+    split), in shares and inputs. The training inputs lie in [-1, 1]; the
+    second table's holdout inputs lie in [2, 50] or [-50, -2], outside
+    that range."""
+    rows = draw(st.integers(5, 12))
+    train_len = rows - math.ceil(0.2 * rows)
+    unit = st.floats(-1.0, 1.0)
+    outside = st.one_of(st.floats(2.0, 50.0), st.floats(-50.0, -2.0))
+    shares = draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows))
+    inputs = draw(st.lists(st.tuples(unit, unit), min_size=rows, max_size=rows))
+    other_shares = shares[:train_len] + draw(st.lists(
+        st.floats(0.0, 1.0), min_size=rows - train_len, max_size=rows - train_len))
+    other_inputs = inputs[:train_len] + draw(st.lists(
+        st.tuples(outside, outside), min_size=rows - train_len, max_size=rows - train_len))
+    return duopoly_csv(shares, inputs), duopoly_csv(other_shares, other_inputs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=holdout_pair())
+def test_holdout_rows_change_only_the_validation_error(pair):
+    """The input scaling reads the training window alone and the training
+    steps read its rows alone, so the holdout rows reach only the
+    validation error: the fit's report is otherwise the same, and so is
+    every candidate's training error in the dump."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        fits = []
+        for k, text in enumerate(pair):
+            data = tmp / f"market{k}.csv"
+            data.write_text(text, encoding="utf-8")
+            report, dump = tmp / f"report{k}.json", tmp / f"candidates{k}.csv"
+            assert checked("fit", "--data", data, "--r", 1, "--dump-candidates", dump,
+                           "--out", report) == 0
+            fitted = json.loads(report.read_text(encoding="utf-8"))
+            del fitted["validation_error"]
+            fits.append((fitted, dump.read_bytes()))
+    assert fits[0] == fits[1]

@@ -302,6 +302,26 @@ class TestInvariantFaces:
         assert (trajectory.shares[:, zeros] == 0.0).all()
 
 
+class TestNoClamp:
+    """With normalized payoffs f_i - mean >= -1, so for dt <= 1 each share
+    x_i (1 + dt (f_i - mean)) before the clamp is at least 0; the shares
+    sum to 1, so none exceeds 1 either. The clamp changes no share."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4), n_y=st.integers(1, 4),
+           rows=st.integers(2, 20),
+           dt=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+    def test_every_euler_update_lies_in_the_unit_interval(self, data, n, n_y, rows, dt):
+        alpha, inputs, initial = zero_rich_run(data, n, n_y, rows)
+        if data.draw(st.booleans()):
+            initial = face_state(data, n)[0]
+        trajectory = run(ScenarioSpec(inputs=inputs, initial=initial, horizon=rows - 1,
+                                      dt=dt), alpha)
+        # x + dt * rate of every stepped row, as _advance computes it
+        update = trajectory.shares[:-1] + dt * trajectory.rates[:-1]
+        assert ((update >= 0.0) & (update <= 1.0)).all(), update
+
+
 class TestInputTable:
     """A scenario's inputs are one table, validated when the spec is built
     with the checks that InputVector made per row and run made per step."""
@@ -411,6 +431,44 @@ class TestInputTable:
         got = raised(lambda: ScenarioSpec(inputs=ramp_inputs(rows), initial=HALF,
                                           horizon=rows - 1 + missing))
         assert got == (DataError, f"no input sample for step {rows}")
+
+
+# Coefficients for which zero inputs give degenerate payoffs (every entry
+# 0.5) and an input of 1 sends every share below zero at dt = 1e300, since
+# the rounded mean fitness tops every fitness: the shares collapse at the
+# first step whose input is 1.
+COLLAPSE_PRONE = {
+    2: (np.array([[1.0], [-1.0], [1.0], [-1.0]]), (0.2, 0.8)),
+    3: (np.tile([1.0, -1.0, -1.0], 3)[:, None], (0.01, 0.09, 0.9)),
+}
+
+
+class TestFirstFailingStep:
+    """run finds its first failing step in the share rows alone: a payoff
+    that overflows makes its step's shares NaN (or ends the loop, for three
+    or more strategies), and a collapse ends the loop, so whichever comes
+    first is the step named."""
+
+    @staticmethod
+    def run_inputs(n, inputs):
+        coeffs, shares = COLLAPSE_PRONE[n]
+        spec = ScenarioSpec(inputs=np.array(inputs)[:, None],
+                            initial=SharesState(np.array(shares)),
+                            horizon=len(inputs) - 1, dt=1e300)
+        return run(spec, InfluenceMatrix(n=n, n_y=1, coeffs=coeffs))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_collapse_before_an_overflowing_row_is_named(self, n):
+        with pytest.raises(DataError) as info:
+            self.run_inputs(n, [0.0, 0.0, 0.0, 1.0, 1e308, 1.0])
+        assert str(info.value).startswith(
+            "step 3: share update collapsed to the zero vector;")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_an_overflowing_row_before_a_collapse_is_named(self, n):
+        with pytest.raises(DataError) as info:
+            self.run_inputs(n, [0.0, 1e308, 0.0, 1.0, 1.0, 1.0])
+        assert str(info.value).startswith("step 1: payoff entries must be finite;")
 
 
 class TestScenarioBuilders:
