@@ -66,7 +66,9 @@ MUTANTS = (
            "lane = int(tied[np.argmin(ids[tied])])",
            "lane = int(tied[0])",
            ("tests/test_learn.py::TestPooledSearch::"
-            "test_lanes_out_of_id_order_reduce_to_the_smallest_minimizer",)),
+            "test_lanes_out_of_id_order_reduce_to_the_smallest_minimizer",
+            "tests/test_learn.py::TestPooledSearch::"
+            "test_constant_market_ties_every_candidate[729]")),
     Mutant("the payoff block's degenerate-range fill reaches only its first step", INFLUENCE,
            "pay[:, degenerate] = 0.5",
            "pay[:, :1][:, degenerate[:1]] = 0.5",
@@ -77,6 +79,11 @@ MUTANTS = (
            "",
            ("tests/test_influence.py::TestPayoffBlock::"
             "test_every_column_has_the_bytes_of_the_one_matrix_helpers",)),
+    Mutant("synthesize_payoff keeps a sum's -0.0", INFLUENCE,
+           "list(raw.reshape(n, n) + 0.0)",
+           "list(raw.reshape(n, n))",
+           ("tests/test_scalar_path.py::TestStepFunctionsMatchNumpy::"
+            "test_synthesize_payoff_sums_zeros_from_positive_zero",)),
     Mutant("the fitness reads the payoff matrix transposed", LEARN,
            "fitness += p[j::n] * x[j]",
            "fitness += p[j * n:j * n + n] * x[j]",
@@ -94,7 +101,7 @@ MUTANTS = (
            "start = lo % block",
            "start = 0",
            ("tests/test_learn.py::TestErrorDump::test_dump_bytes_match_per_row_formatting",)),
-    Mutant("the simulator's payoff terms run from the last input", SIMULATE,
+    Mutant("the dense payoff terms run from the last input", INFLUENCE,
            "[(m, k * n_y + m) for m in range(n_y)]",
            "[(m, k * n_y + m) for m in reversed(range(n_y))]",
            ("tests/test_scalar_path.py::TestPinnedTrajectoryBytes::"

@@ -294,7 +294,13 @@ def _cmd_equilibria(args) -> int:
     if len(values) != alpha.n_y:
         raise ConfigError(f"--y must supply {alpha.n_y} values, got {len(values)}")
     y = InputVector(values=np.array(values), ownership=ownership)
-    payoff = normalize_payoff(synthesize_payoff(alpha, y.values))
+    try:
+        payoff = normalize_payoff(synthesize_payoff(alpha, y.values))
+    except ValueError as exc:
+        if alpha.n < 2:  # the coefficient file's fault, whatever the values
+            raise
+        raise ConfigError(f"--y: {exc}; the values are too large for the payoff "
+                          "arithmetic (normalize the inputs)") from exc
 
     print("normalized payoff matrix:")
     for row in payoff.entries:

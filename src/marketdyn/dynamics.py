@@ -6,7 +6,7 @@ their stability in closed form.
 PayoffMatrix and SharesState each have one constructor, which validates
 the caller's values and holds them twice: as a read-only numpy array
 (``entries``, ``shares``) and as a tuple of Python floats (``floats``), which
-the step helpers compute on.
+replicator_rates and advance_shares compute on.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class PayoffMatrix:
 
     ``entries`` is the read-only (n, n) array of the caller's values, and
     ``floats`` the same entries as a row-major tuple of Python floats, which
-    the step helpers read."""
+    replicator_rates reads; the payoff helpers compute on ``entries``."""
 
     floats: tuple[float, ...]
     n: int
@@ -68,8 +68,8 @@ class SharesState:
     """Point on the n-simplex: one market-share fraction per strategy.
 
     ``shares`` is the read-only array of the caller's values, and ``floats``
-    the same shares as a tuple of Python floats, which the step helpers
-    read."""
+    the same shares as a tuple of Python floats, which replicator_rates and
+    advance_shares read."""
 
     floats: tuple[float, ...]
 

@@ -13,11 +13,12 @@ in two parts:
 
 Raw synthesized payoffs are min-max normalized to [0, 1] before they drive
 the dynamics, which makes the whole pipeline invariant under positive
-scaling of the coefficients. synthesize_payoff and normalize_payoff take
-one matrix on Python floats; payoff_block takes many coefficient matrices
-and input rows at once, with the same operations per element, and is the
-one payoff kernel that both simulate.run and the grid search call. The
-normalization policy (DEGENERATE_RANGE) lives here alone.
+scaling of the coefficients. payoff_block takes many coefficient matrices
+and input rows at once and is the one payoff kernel that both simulate.run
+and the grid search call. Its two halves, the term sum and the
+normalization, are the only payoff arithmetic: synthesize_payoff and
+normalize_payoff are one-lane, one-step calls of them. The normalization
+policy (DEGENERATE_RANGE) lives in the second half alone.
 """
 
 from __future__ import annotations
@@ -339,50 +340,36 @@ def free_orbits(
     return tuple(sorted(kept, key=lambda orbit: orbit[0]))
 
 
+def _dense_terms(n: int, n_y: int):
+    """payoff_block's terms for every coefficient (k, m), in value row k * n_y + m."""
+    return [[(m, k * n_y + m) for m in range(n_y)] for k in range(n * n)]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # PayoffMatrix rejects what overflows
 def synthesize_payoff(alpha: InfluenceMatrix, y) -> PayoffMatrix:
     """Raw payoff matrix A with entry k = coeffs[k] . y, row-major, for the
-    1-d array ``y`` of input values at one time.
-
-    Each entry accumulates from 0.0 over the inputs in ascending index, on
-    Python floats; see replicator_rates for why the order is pinned.
+    1-d array ``y`` of input values at one time: payoff_block's term sum on
+    one lane and one step. The ``+ 0.0`` turns a -0.0 sum into +0.0 and
+    changes no other bit, so each entry is its sum from 0.0 in input order.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (alpha.n_y,):
         raise ValueError(
             f"dimension mismatch: coefficients expect {alpha.n_y} inputs, got shape {y.shape}"
         )
-    v = y.tolist()
-    raw = []
-    for row in alpha.coeffs.tolist():
-        acc = 0.0
-        for c_km, v_m in zip(row, v):
-            acc += c_km * v_m
-        raw.append(acc)
     n = alpha.n
-    return PayoffMatrix([raw[i * n:(i + 1) * n] for i in range(n)])
+    raw = _payoff_sums(alpha.coeffs.reshape(-1, 1), _dense_terms(n, alpha.n_y), y[None])
+    return PayoffMatrix(list(raw.reshape(n, n) + 0.0))  # a list: n = 0 is shape (0,)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def normalize_payoff(payoff: PayoffMatrix) -> PayoffMatrix:
-    """Min-max rescale of all entries to [0, 1].
-
-    A matrix whose entries are all equal (range below 1e-12) maps to the
-    uniform matrix of 0.5; every state is stationary under it.
-    """
-    flat = payoff.floats
-    lo = min(flat)
-    hi = max(flat)
-    if lo == 0.0:
-        # Of several equal zeros, Python's min keeps the first and numpy's
-        # its own pick; the sign of lo shows in a - lo, so take numpy's.
-        # Equal non-zero floats have the same bits.
-        lo = float(payoff.entries.min())
-    n = payoff.n
-    if hi - lo < DEGENERATE_RANGE:
-        out = [0.5] * (n * n)
-    else:
-        span = hi - lo
-        out = [(v - lo) / span for v in flat]
-    return PayoffMatrix([out[i * n:(i + 1) * n] for i in range(n)], normalized=True)
+    """Min-max rescale of all entries to [0, 1]: payoff_block's
+    normalization on one lane and one step. A matrix whose entries are all
+    equal (range below 1e-12) maps to the uniform matrix of 0.5; every
+    state is stationary under it."""
+    block = _normalized(payoff.entries.reshape(-1, 1, 1).copy())
+    return PayoffMatrix(block.reshape(payoff.entries.shape), normalized=True)
 
 
 def payoff_block(values: np.ndarray, terms, rows: np.ndarray) -> np.ndarray:
@@ -393,20 +380,19 @@ def payoff_block(values: np.ndarray, terms, rows: np.ndarray) -> np.ndarray:
     rows, of which it reads only those that a term names; ``terms`` lists
     per payoff entry its (input m, value row f) pairs in ascending m, so
     that entry k of a lane is the sum over its terms of ``values[f] * y[m]``;
-    ``rows`` is the (step, input) array of the input rows. Per element the
-    operations are those of synthesize_payoff and normalize_payoff: the
-    terms summed in input order, the minimum and maximum taken over the
-    entries, then subtract and divide, and 0.5 where the range is
-    degenerate. Each sum starts at its first term and may be -0.0; a zero
-    minimum is taken as -0.0, so a zero entry of either sign normalizes to
-    +0.0, as in the helpers, whose sums start at 0.0. So leaving out a term
-    whose value is zero changes no bit. A non-finite sum leaves a NaN in its
-    normalized (step, lane) column, so a column that normalize_payoff or
-    synthesize_payoff would reject holds an entry outside [0, 1].
-
-    Overflow and NaN are not trapped here; a caller that expects them sets
-    ``np.errstate``.
+    ``rows`` is the (step, input) array of the input rows. A zero entry of
+    either sign normalizes to +0.0, so leaving out a term whose value is
+    zero changes no bit. A non-finite sum leaves a NaN in its (step, lane)
+    column, so a column that the one-matrix helpers would reject holds an
+    entry outside [0, 1]. Overflow and NaN are not trapped here; a caller
+    that expects them sets ``np.errstate``.
     """
+    return _normalized(_payoff_sums(values, terms, rows))
+
+
+def _payoff_sums(values: np.ndarray, terms, rows: np.ndarray) -> np.ndarray:
+    """The raw (entry, step, lane) payoffs: each entry's terms summed in
+    input order, starting at its first term."""
     y = [rows[:, m, None] for m in range(rows.shape[1])]  # (step, 1) columns
     pay = np.zeros((len(terms), len(rows), values.shape[1]))
     for k, entry in enumerate(terms):
@@ -415,6 +401,14 @@ def payoff_block(values: np.ndarray, terms, rows: np.ndarray) -> np.ndarray:
             np.multiply(values[f], y[m], out=pay[k])
             for m, f in rest:
                 pay[k] += values[f] * y[m]
+    return pay
+
+
+def _normalized(pay: np.ndarray) -> np.ndarray:
+    """Min-max normalize each (step, lane) column of the raw block ``pay``
+    in place: subtract the minimum over the entries, divide by the range,
+    and fill 0.5 where the range is below DEGENERATE_RANGE. A zero minimum
+    is taken as -0.0, so a zero entry of either sign leaves +0.0."""
     lo = pay.min(axis=0)
     np.copysign(lo, -1.0, out=lo, where=lo == 0.0)
     rng = pay.max(axis=0)

@@ -304,10 +304,10 @@ def _advance(
     ``state`` holds one column ("lane") per candidate, laid out as struct of
     arrays: one row per free value, then one per share, then the error sum,
     so dropping lanes compacts every row at once. The share and error rows
-    are updated in place. Mirrors the scalar path (synthesize_payoff,
-    normalize_payoff, replicator_rates, advance_shares) with identical
-    per-element operation order, so batch and scalar errors agree bit for
-    bit.
+    are updated in place. Mirrors replicator_rates and advance_shares with
+    identical per-element operation order, and takes its payoffs from the
+    payoff_block halves that synthesize_payoff and normalize_payoff call,
+    so batch and scalar errors agree bit for bit.
 
     The payoffs do not depend on the shares, so influence.payoff_block
     computes them a block of steps at a time, as many steps as

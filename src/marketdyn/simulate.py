@@ -10,24 +10,20 @@ when the scenario is built; each step reads its row as a plain array.
 InputVector appears only where a caller hands inputs in (custom_scenario).
 
 The step helpers (synthesize_payoff, normalize_payoff, replicator_rates,
-advance_shares, step) compute one step on Python floats in the learn
-kernel's per-element order; on vectors of two to sixteen entries numpy's
-per-call cost exceeds the arithmetic. run takes the same operations in two
-halves. A payoff depends on its input row alone, so run normalizes the
-payoffs of every stepped row in one call of influence.payoff_block, the
-payoff kernel of the grid search, with the coefficients as its one lane;
-each element goes through the helpers' operations in their order. The loop
-then steps only the shares, on Python floats, and builds no value object
-per step; which loop runs is chosen by the number of strategies. A duopoly
-(n = 2) steps its two shares on local floats, each operation that of the
-float functions _rates and _advance in their order; three or more
-strategies step through _rates and _advance, which replicator_rates and
-advance_shares wrap. Both give the bytes of iterated step. run finds a
-failing step in its share rows alone and runs it again through step, which
-raises its error. Only the final row, which no step advances, and that
-re-run build value objects, through the helpers themselves. The trajectory
-keeps its shares, payoffs and rates as arrays, and the writer formats and
-writes them in blocks of rows, each as a whole by numtext.format_g17.
+advance_shares, step) compute one step. The payoff helpers are one-lane
+calls of the halves of influence.payoff_block; replicator_rates and
+advance_shares compute on Python floats in the learn kernel's per-element
+order, since on two to sixteen entries numpy's per-call cost exceeds the
+arithmetic. run normalizes the payoffs of every stepped row in one
+payoff_block call, with the coefficients as its one lane, then steps only
+the shares, on Python floats, with no value object per step. A duopoly
+(n = 2) steps its two shares on local floats, each operation that of
+_rates and _advance in their order; three or more strategies step through
+_rates and _advance, which replicator_rates and advance_shares wrap. Both
+give the bytes of iterated step. run finds a failing step in its share
+rows alone and runs it again through step, which raises its error. Only
+the final row and that re-run call the helpers. The writer formats the
+trajectory's arrays in blocks of rows, each by numtext.format_g17.
 """
 
 from __future__ import annotations
@@ -49,7 +45,8 @@ from .dynamics import (
     replicator_rates,
 )
 from .errors import DataError
-from .influence import InfluenceMatrix, normalize_payoff, payoff_block, synthesize_payoff
+from .influence import InfluenceMatrix, _dense_terms, payoff_block
+from .influence import normalize_payoff, synthesize_payoff
 from .numtext import format_g17
 
 _WRITE_ROWS = 512  # trajectory rows formatted and written at once
@@ -200,8 +197,8 @@ def run(spec: ScenarioSpec, alpha: InfluenceMatrix) -> Trajectory:
             f"strategies, scenario has {spec.inputs.shape[1]} and {spec.initial.n}"
         )
     horizon, dt, n, n_y = spec.horizon, spec.dt, alpha.n, alpha.n_y
-    terms = [[(m, k * n_y + m) for m in range(n_y)] for k in range(n * n)]
-    payoffs = payoff_block(alpha.coeffs.reshape(-1, 1), terms, spec.inputs[:horizon])[..., 0]
+    payoffs = payoff_block(alpha.coeffs.reshape(-1, 1), _dense_terms(n, n_y),
+                           spec.inputs[:horizon])[..., 0]
     x = list(spec.initial.floats)
     columns = [array("d", [v]) for v in x] + [array("d") for _ in x]  # shares, then rates
     try:

@@ -13,7 +13,7 @@ import pytest
 from conftest import EXAMPLE_GENERATOR, duopoly_alpha, make_dataset, ramp_inputs
 from marketdyn.dataset import MarketDataset, example_dataset_path, save_csv
 from marketdyn.dynamics import SharesState
-from marketdyn.influence import InputVector, save_alpha
+from marketdyn.influence import InfluenceMatrix, InputVector, save_alpha
 from marketdyn.simulate import custom_scenario, run
 
 PLANTED = (1, 0, -1, 1, 0, 1)
@@ -502,6 +502,22 @@ class TestEquilibriaCommand:
     def test_unparseable_inputs_are_config_error(self, fit_report):
         proc = run_cli("equilibria", "--alpha", fit_report, "--y", "a,b,c,d")
         assert proc.returncode == 2
+
+    def test_overflowing_inputs_are_config_error_naming_the_flag(self, tmp_path):
+        alpha = tmp_path / "alpha.json"
+        save_alpha(duopoly_alpha(EXAMPLE_GENERATOR), (0, 1, 0, 1), alpha)
+        proc = run_cli("equilibria", "--alpha", alpha, "--y", "1e308,1e308,1e308,1e308")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "configuration error: --y: payoff entries must be finite; the values are too "
+            "large for the payoff arithmetic (normalize the inputs)\n")
+
+    def test_one_strategy_coefficient_file_is_not_blamed_on_the_inputs(self, tmp_path):
+        alpha = tmp_path / "alpha.json"
+        save_alpha(InfluenceMatrix(n=1, n_y=1, coeffs=[[1.0]]), (0,), alpha)
+        proc = run_cli("equilibria", "--alpha", alpha, "--y", "0.5")
+        assert proc.returncode == 2
+        assert proc.stderr == "configuration error: payoff matrix needs at least 2 strategies\n"
 
     def test_value_list_starting_negative_follows_the_flag(self, fit_report):
         spaced = run_cli("equilibria", "--alpha", fit_report, "--y", "-0.5,0.2,0.3,0.1")

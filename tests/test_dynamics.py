@@ -220,6 +220,9 @@ def interior_states(draw, n):
     return SharesState(weights / weights.sum())
 
 
+UNIT_EDGES = st.one_of(st.sampled_from([0.0, 5e-324, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
 class TestReplicatorProperties:
     """Textbook invariants of the replicator equation (Taylor & Jonker 1978;
     Hofbauer & Sigmund 1998) over random payoffs and states."""
@@ -251,3 +254,18 @@ class TestReplicatorProperties:
             assert below > 0.0 > above
         else:
             assert below < 0.0 < above
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4), shift=st.floats(-1.0, 1.0))
+    def test_a_column_shift_leaves_the_rates(self, data, n, shift):
+        """Adding a constant to one payoff column adds the same amount to
+        every fitness and to the mean fitness (Hofbauer & Sigmund 1998), so
+        the rates move by rounding alone."""
+        payoff = data.draw(normalized_payoffs(n, UNIT_EDGES))
+        weights = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                                     min_size=n, max_size=n).filter(any))
+        state = SharesState(np.array(weights) / sum(weights))
+        shifted = payoff.entries.copy()
+        shifted[:, data.draw(st.integers(0, n - 1))] += shift
+        moved = replicator_rates(PayoffMatrix(shifted), state) - replicator_rates(payoff, state)
+        assert np.abs(moved).max() <= 1e-15

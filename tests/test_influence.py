@@ -15,6 +15,7 @@ from conftest import (
     RECOVERY_TARGET,
     duopoly_alpha,
 )
+from reference import ref_normalize, ref_synthesize
 from marketdyn.dynamics import PayoffMatrix
 from marketdyn.errors import ConfigError
 from marketdyn.influence import (
@@ -261,11 +262,12 @@ class TestPayoffBlock:
     # subtracting a zero minimum that is not taken as -0.0 keeps that sign
     @example(case=(np.array([-0.0, 0.0, 1.0, 1.0]).reshape(1, 4, 1), np.array([[1.0]])))
     def test_every_column_has_the_bytes_of_the_one_matrix_helpers(self, case):
-        """Each (step, lane) column holds what normalize_payoff and
-        synthesize_payoff give for that lane's coefficients and that step's
-        inputs, or, where they raise, a NaN or an entry outside [0, 1].
-        Leaving out the terms whose value is zero in every lane, as the
-        grid search leaves out its zero-mask terms, changes no bit."""
+        """Each (step, lane) column holds the bytes of the numpy references
+        of synthesize_payoff and normalize_payoff for that lane's
+        coefficients and that step's inputs, or, where the helpers would
+        raise, a NaN or an entry outside [0, 1]. Leaving out the terms whose
+        value is zero in every lane, as the grid search leaves out its
+        zero-mask terms, changes no bit."""
         coeffs, rows = case
         lanes, entries, n_y = coeffs.shape
         values = coeffs.reshape(lanes, -1).T  # row k * n_y + m: coefficient (k, m)
@@ -274,18 +276,16 @@ class TestPayoffBlock:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             block = payoff_block(values, terms, rows)
             sparse = payoff_block(values, nonzero, rows)
+            expected = [[ref_normalize(ref_synthesize(c, y, math.isqrt(entries))).ravel()
+                         for c in coeffs] for y in rows]
         assert block.shape == (entries, len(rows), lanes)
         assert sparse.tobytes() == block.tobytes()
-        for lane in range(lanes):
-            alpha = InfluenceMatrix(n=math.isqrt(entries), n_y=n_y, coeffs=coeffs[lane])
-            for t, y in enumerate(rows):
-                column = block[:, t, lane]
-                try:
-                    expected = normalize_payoff(synthesize_payoff(alpha, y)).floats
-                except ValueError:
-                    assert not ((column >= 0.0) & (column <= 1.0)).all()
-                else:
-                    assert column.tobytes() == np.array(expected).tobytes()
+        for t, lane in np.ndindex(len(rows), lanes):
+            column = block[:, t, lane]
+            if np.isfinite(expected[t][lane]).all():
+                assert column.tobytes() == expected[t][lane].tobytes()
+            else:  # a non-finite raw entry or range, which PayoffMatrix rejects
+                assert not ((column >= 0.0) & (column <= 1.0)).all()
 
 
 class TestAlphaSerialization:

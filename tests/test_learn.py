@@ -473,14 +473,19 @@ class TestPooledSearch:
         assert (report.best_values, report.train_error, report.tie_class_size) == (
             table_reduction(table))
 
-    @pytest.mark.parametrize("chunk", [1, 2, 7, 16, 17, 45, 100])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 16, 17, 45, 100, 400, 729])
     def test_constant_market_ties_every_candidate(self, chunk):
         """Zero inputs give every candidate a flat payoff, so the market
-        never moves and all 729 candidates score 0."""
+        never moves and all 729 candidates score 0. From a chunk of 400 on,
+        the first pool's probe head is a sixteenth of it, which
+        np.argpartition picks among equal partial errors out of id order: it
+        leaves candidate 0 in the rest and finishes later tied lanes first."""
         dataset = make_dataset([0.4] * 8, np.zeros((8, 4)))
+        table = train_error_table(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2)
+        assert np.count_nonzero(table == 0.0) == 729
         with chunk_size(chunk):
             report = fit(dataset, GridSpec(1), DUOPOLY_SPEC, 0.2)
-        assert report.best_values == decode(0, 1)
+        assert report.best_values == decode(int(np.argmin(table)), 1)  # the smallest tied id
         assert (report.train_error, report.tie_class_size) == (0.0, 729)
 
     @settings(max_examples=10, deadline=None)

@@ -1,9 +1,12 @@
-"""The scalar step path against numpy reference implementations.
+"""The step helpers and the validators against numpy reference
+implementations.
 
-The step helpers compute on Python floats, and the validators of
-PayoffMatrix, SharesState and InputVector on arrays. The references below
-are the earlier numpy bodies of the same functions. Every result must match them bit for
-bit, and every rejection must carry the same message.
+replicator_rates and advance_shares compute on Python floats, the payoff
+helpers on one lane of the payoff block, and the validators of
+PayoffMatrix, SharesState and InputVector on arrays. The references here
+and in reference.py are numpy bodies of the same functions. Every result
+must match them bit for bit, and every rejection must carry the same
+message.
 """
 
 import copy
@@ -21,7 +24,6 @@ from hypothesis import strategies as st
 from conftest import EXAMPLE_GENERATOR, duopoly_alpha
 from marketdyn.dynamics import SIMPLEX_TOL, PayoffMatrix, SharesState, replicator_rates
 from marketdyn.influence import (
-    DEGENERATE_RANGE,
     InfluenceMatrix,
     InputVector,
     alternating_ownership,
@@ -29,35 +31,10 @@ from marketdyn.influence import (
     synthesize_payoff,
 )
 from marketdyn.simulate import advance_shares, custom_scenario, run, write_trajectory_csv
+from reference import ref_normalize, ref_rates, ref_synthesize
 
 
 # --- numpy references -------------------------------------------------------
-
-
-def ref_synthesize(coeffs: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    raw = np.zeros(n * n)
-    for m in range(coeffs.shape[1]):
-        raw += coeffs[:, m] * values[m]
-    return raw.reshape(n, n)
-
-
-def ref_normalize(a: np.ndarray) -> np.ndarray:
-    lo = float(a.min())
-    hi = float(a.max())
-    if hi - lo < DEGENERATE_RANGE:
-        return np.full(a.shape, 0.5)
-    return (a - lo) / (hi - lo)
-
-
-def ref_rates(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    fitness = np.zeros(n)
-    for j in range(n):
-        fitness += a[:, j] * x[j]
-    mean_fitness = 0.0
-    for i in range(n):
-        mean_fitness += x[i] * fitness[i]
-    return x * (fitness - mean_fitness)
 
 
 def ref_advance(x: np.ndarray, rates: np.ndarray, dt: float) -> np.ndarray:
@@ -170,6 +147,18 @@ class TestStepFunctionsMatchNumpy:
             assert not got.normalized
             assert_same_bits(got.entries, expected)
 
+    @pytest.mark.parametrize("n_y", [1, 2, 3])
+    def test_synthesize_payoff_sums_zeros_from_positive_zero(self, n_y):
+        """Every sign pattern of zero coefficients against inputs of +-1:
+        each product is a zero, and the sum from 0.0 is +0.0 whatever their
+        signs."""
+        for bits in range(2 ** (2 * n_y)):
+            signs = [-1.0 if bits >> k & 1 else 1.0 for k in range(2 * n_y)]
+            coeffs = np.tile([math.copysign(0.0, v) for v in signs[:n_y]], (4, 1))
+            values = np.array(signs[n_y:])
+            got = synthesize_payoff(InfluenceMatrix(n=2, n_y=n_y, coeffs=coeffs), values)
+            assert_same_bits(got.entries, ref_synthesize(coeffs, values, 2))
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(2, 4))
     def test_normalize_payoff(self, data, n):
@@ -185,8 +174,8 @@ class TestStepFunctionsMatchNumpy:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_normalize_payoff_signed_zero_minimum(self, n):
         """+0.0/-0.0 patterns with one positive entry (all of them for n <= 3,
-        a seeded 1,024 for n = 4): the minimum is a zero, and its sign decides
-        the sign of each normalized zero."""
+        a seeded 1,024 for n = 4): the minimum is a zero of either sign, and
+        every normalized zero is +0.0."""
         size = n * n
         patterns = range(2 ** (size - 1))
         if len(patterns) > 1024:
@@ -195,8 +184,9 @@ class TestStepFunctionsMatchNumpy:
             flat = [-0.0 if bits >> k & 1 else 0.0 for k in range(size - 1)] + [1.0]
             for shift in (0, size - 1):
                 entries = np.array(flat[shift:] + flat[:shift]).reshape(n, n)
-                assert_same_bits(normalize_payoff(PayoffMatrix(entries)).entries,
-                                 ref_normalize(entries))
+                got = normalize_payoff(PayoffMatrix(entries)).entries
+                assert_same_bits(got, ref_normalize(entries))
+                assert not np.signbit(got).any()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(2, 4), normalized=st.booleans())
@@ -363,9 +353,9 @@ class TestValueObjects:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_signed_zero_minimum_of_a_matrix_built_from_floats(self, n):
-        """The step helpers build payoffs from rows of Python floats; the
-        array built from them, read for a zero minimum, must pick numpy's
-        zero as a caller's array does."""
+        """A payoff built from rows of Python floats normalizes as an array
+        of the same values does: every zero to +0.0, whichever zero is the
+        minimum."""
         size = n * n
         for bits in range(2 ** (size - 1)):
             flat = [-0.0 if bits >> k & 1 else 0.0 for k in range(size - 1)] + [1.0]
@@ -375,6 +365,7 @@ class TestValueObjects:
                 rows = [rotated[i * n:(i + 1) * n] for i in range(n)]
                 got = normalize_payoff(PayoffMatrix(rows))
                 assert_same_bits(got.entries, ref_normalize(entries))
+                assert not np.signbit(got.entries).any()
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_strategies_from_floats(self, n):
