@@ -160,9 +160,14 @@ MUTANTS = (
            ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
             "test_the_first_bad_row_wins_over_a_later_row_whose_sum_overflows",)),
     Mutant("the line-by-line fallback skips a rejected line", DATASET,
-           "            break  # _raise_first raises",
-           "            continue  # _raise_first raises",
-           ("tests/test_dataset.py::TestLoadCsv::test_field_count_mismatch_reports_line",)),
+           "            error = exc\n            break\n",
+           "            error = exc\n            continue\n",
+           ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
+            "test_no_data_line_is_parsed_twice",)),
+    Mutant("the numpy path keeps the rows after its first non-finite row", DATASET,
+           "return labels, block[:end], error",
+           "return labels, block, error",
+           ("tests/test_dataset.py::TestLoadCsv::test_non_finite_cell_reports_line",)),
     Mutant("the share total sums column by column up to 9 shares", DYNAMICS,
            "if block.shape[1] < 8:",
            "if block.shape[1] < 9:",
@@ -179,8 +184,8 @@ MUTANTS = (
            ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
             "test_the_first_bad_row_wins_over_a_later_row_the_csv_reader_rejects",)),
     Mutant("the labels of lines that numpy parses keep their spaces", DATASET,
-           """[line.partition(",")[0].strip() for line in lines]""",
-           """[line.partition(",")[0] for line in lines]""",
+           """[line.partition(",")[0].strip() for line in lines[:end]]""",
+           """[line.partition(",")[0] for line in lines[:end]]""",
            ("tests/test_dataset.py::TestIngestEqualsRowByRowLoad::"
             "test_plain_lines_are_parsed_by_numpy_with_their_labels_stripped",)),
     Mutant("a share row whose fsum overflows escapes the sum check", DATASET,

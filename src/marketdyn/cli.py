@@ -129,18 +129,37 @@ def _validate_grid(args) -> None:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
 
 
-def _check_outputs(*paths) -> None:
-    """Reject an output path that is a directory or whose parent directory
-    is missing, before any work: found after the work, it would fail a run
-    that had already written its other outputs."""
-    for path in paths:
+def _check_outputs(args, *outputs: str) -> None:
+    """Reject the output paths that ``args`` holds under the names
+    ``outputs`` when one is a directory or has no parent directory, or names
+    the same file as an earlier output or as an input (--data, --alpha,
+    --inputs). Found after the work, the first would fail a run that had
+    already written its other outputs; the second would overwrite a file
+    that the run reads or writes. A file is known by its device and inode,
+    and a file not yet written by its directory's and its name."""
+    named = {}
+    for name in ("data", "alpha", "inputs", *outputs):
+        path = getattr(args, name, None)
         if path is None:
             continue
         target = Path(path)
-        if target.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-        if not target.parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, "no directory for the output", str(target))
+        if name in outputs:
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            if not target.parent.is_dir():
+                raise FileNotFoundError(errno.ENOENT, "no directory for the output", str(target))
+        try:
+            found = target.stat()
+            key = (found.st_dev, found.st_ino)
+        except FileNotFoundError:
+            if name not in outputs:
+                continue  # its load fails with a message of its own
+            folder = target.parent.stat()
+            key = (folder.st_dev, folder.st_ino, target.name)
+        other = named.setdefault(key, name)
+        if other != name:
+            first, second = (f"--{n.replace('_', '-')}" for n in (other, name))
+            raise ConfigError(f"{first} and {second} name the same file: {path}")
 
 
 def _load_and_scale(args) -> tuple[ds.MarketDataset, ds.NormalizationRecord | None, int]:
@@ -214,7 +233,7 @@ def _cmd_fit(args) -> int:
         raise ConfigError(f"max-r {args.max_r} is below r {args.r}")
     if args.auto_r and args.dump_candidates is not None:
         raise ConfigError("--dump-candidates cannot be combined with --auto-r")
-    _check_outputs(args.out)
+    _check_outputs(args, "out", "dump_candidates")
     scaled, _, _ = _load_and_scale(args)
     constraints = _constraints_for(scaled, args.constraints)
     if args.auto_r:
@@ -234,7 +253,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     _validate_common(args)
-    _check_outputs(args.out, args.svg)
+    _check_outputs(args, "out", "svg")
     scaled, _, train_len = _load_and_scale(args)
     alpha = _load_alpha_for(args.alpha, scaled)
     trajectory = simulate.run(simulate.observed_scenario(scaled, dt=args.dt), alpha)
@@ -246,7 +265,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_scenario(args) -> int:
     _validate_common(args)
     _validate_grid(args)
-    _check_outputs(args.out, args.svg, args.alpha_out)
+    _check_outputs(args, "out", "svg", "alpha_out", "dump_candidates")
     scaled, record, train_len = _load_and_scale(args)
 
     if args.kind == "constant-market":

@@ -15,7 +15,7 @@ grammar (no underscores, no non-ASCII digits), giving float()'s value.
 Otherwise, or when numpy rejects a field, the lines are read one by one, each
 by a csv reader of its own and float(), up to the first line with an error;
 that path is the reference, the only one for quoted fields, and the source
-of every error message.
+of every parse error. No data line goes through it twice.
 
 A dataset holds its share rows as one read-only (row, strategy) block, whose
 rows were checked as a whole; reading a row builds its SharesState, which
@@ -285,16 +285,18 @@ def _plain(lines: list[str], width: int) -> bool:
 
 
 def _parse_block(numbers: list[int], lines: list[str],
-                 width: int) -> tuple[list[str], np.ndarray]:
+                 width: int) -> tuple[list[str], np.ndarray, DataError | None]:
     """The labels and the (rows, width - 1) block of float() values of the
-    data lines (numbered ``numbers``), up to the first line that
-    ``_parse_row`` rejects. Their count is that line's index.
+    data lines (numbered ``numbers``) before the first line that
+    ``_parse_row`` rejects, and that line's error (None when it rejects
+    none). The block's count is that line's index.
 
     When ``_plain`` holds, numpy's C reader parses the values and each label
     is its line's text before the first comma; numpy accepts a subset of
-    float()'s grammar and gives float()'s value, and it takes non-finite
-    values, which the block checks then reject. If it rejects a field, or
-    ``_plain`` fails, ``_parse_row`` reads the lines one by one.
+    float()'s grammar and gives float()'s value, so its first row that holds
+    a non-finite value is the first line that ``_parse_row`` rejects. If it
+    rejects a field, or ``_plain`` fails, ``_parse_row`` reads the lines one
+    by one.
     """
     if lines and _plain(lines, width):
         try:
@@ -303,17 +305,28 @@ def _parse_block(numbers: list[int], lines: list[str],
         except ValueError:
             pass  # _parse_row finds the line and its error
         else:
-            return [line.partition(",")[0].strip() for line in lines], block
+            finite = np.isfinite(block).all(axis=1)
+            end = len(lines) if finite.all() else int(np.argmin(finite))
+            labels = [line.partition(",")[0].strip() for line in lines[:end]]
+            error = None
+            if end < len(lines):
+                try:
+                    _parse_row(numbers[end], lines[end], width)
+                except DataError as exc:
+                    error = exc
+            return labels, block[:end], error
     labels = []
     values = []
+    error = None
     for line_no, line in zip(numbers, lines):
         try:
             label, row = _parse_row(line_no, line, width)
-        except DataError:
-            break  # _raise_first raises this line's error after every earlier row's
+        except DataError as exc:
+            error = exc
+            break
         labels.append(label)
         values.extend(row)
-    return labels, np.array(values, dtype=float).reshape(len(labels), width - 1)
+    return labels, np.array(values, dtype=float).reshape(len(labels), width - 1), error
 
 
 def _parse_row(line_no: int, line: str, width: int) -> tuple[str, list[float]]:
@@ -332,15 +345,6 @@ def _parse_row(line_no: int, line: str, width: int) -> tuple[str, list[float]]:
     return fields[0].strip(), values
 
 
-def _raise_first(numbers, lines, failed: np.ndarray, parsed: int, check) -> None:
-    """Run the row check ``check(line_no, line)`` on each row that failed a
-    block check, then on the line that stopped the parse, if any: the first
-    raises that row's error, as a row-by-row load would have raised it."""
-    for t in [*np.flatnonzero(failed).tolist(), parsed]:
-        if t < len(lines):
-            check(numbers[t], lines[t])
-
-
 def load_csv(source) -> MarketDataset:
     """Parse a market dataset from a path or text stream.
 
@@ -352,24 +356,21 @@ def load_csv(source) -> MarketDataset:
 
 def _dataset_from_table(provenance, header_no, header, numbers, lines) -> MarketDataset:
     n, n_y = _parse_header(header, header_no)
-    width = 1 + n + n_y
-    labels, block = _parse_block(numbers, lines, width)
+    labels, block, error = _parse_block(numbers, lines, 1 + n + n_y)
     shares = block[:, :n]
-    # Rows that math.fsum may add: finite, no share negative or above the
-    # sum's upper bound. Every other row fails a check, and its sum could
-    # overflow.
-    summable = np.isfinite(block).all(axis=1) & (
-        (shares >= 0.0) & (shares <= SHARE_SUM_MAX)
-    ).all(axis=1)
+    # Rows that math.fsum may add: no share negative or above the sum's upper
+    # bound. Every other row fails a check, and its sum could overflow.
+    summable = ((shares >= 0.0) & (shares <= SHARE_SUM_MAX)).all(axis=1)
     safe = np.where(summable[:, None], shares, 0.0)
     totals = np.array(list(map(math.fsum, zip(*safe.T.tolist()))), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = shares / totals[:, None]
     passed = summable & (SHARE_SUM_MIN <= totals) & (totals <= SHARE_SUM_MAX)
     passed &= _simplex_rows(normalized)
-
-    def check(line_no, line):
-        raw_shares = _parse_row(line_no, line, width)[1][:n]
+    # The first failing row raises its error as a row-by-row load would,
+    # before the parse error of the later line that ended the block.
+    for t in np.flatnonzero(~passed).tolist():
+        line_no, raw_shares = numbers[t], block[t, :n].tolist()
         try:
             total = math.fsum(raw_shares)
         except OverflowError:  # a partial sum past the float range
@@ -381,8 +382,8 @@ def _dataset_from_table(provenance, header_no, header, numbers, lines) -> Market
         if any(s < 0.0 for s in raw_shares):
             raise DataError(f"line {line_no}: negative share")
         SharesState([s / total for s in raw_shares])
-
-    _raise_first(numbers, lines, ~passed, len(labels), check)
+    if error is not None:
+        raise error
     if len(labels) < 2:
         raise DataError("length >= 2 required, got %d data rows" % len(labels))
     normalized.setflags(write=False)
@@ -428,12 +429,9 @@ def load_input_table(source) -> np.ndarray:
     for m, name in enumerate(header[1:]):
         if name != f"y_{m + 1}":
             raise DataError(f"line {header_no}: unexpected column {name!r}")
-    _, block = _parse_block(numbers, lines, len(header))
-
-    def check(line_no, line):
-        _parse_row(line_no, line, len(header))
-
-    _raise_first(numbers, lines, ~np.isfinite(block).all(axis=1), len(block), check)
+    _, block, error = _parse_block(numbers, lines, len(header))
+    if error is not None:
+        raise error
     if not len(block):
         raise DataError("input series contains no data rows")
     return block

@@ -408,8 +408,9 @@ def _score_chunk(search: _Search, lo: int) -> _Chunk:
     full, with the rows the search asks for."""
     problem = search.problem
     free = len(problem.orbits)
-    state = np.empty((free + problem.n + 1, min(search.chunk_size, search.total - lo)))
-    _write_values(state[:free], lo, search.radius, min(search.chunk_size, search.total))
+    size = min(search.chunk_size, search.total)
+    state = np.empty((free + problem.n + 1, min(size, search.total - lo)))
+    _write_values(state[:free], lo, search.radius, size)
     _seed(problem, state)
     state, ids = _advance(problem, state, np.arange(lo, lo + state.shape[1]),
                           1, problem.train_len)
@@ -418,7 +419,7 @@ def _score_chunk(search: _Search, lo: int) -> _Chunk:
     if search.rows == _ERRORS:
         return chunk._replace(rows=train)
     if search.rows == _TEXT:
-        return chunk._replace(rows=_dump_text(lo, state[:free], train, search.radius))
+        return chunk._replace(rows=_dump_text(lo, state[:free], train, search.radius, size))
     return chunk
 
 
@@ -579,20 +580,22 @@ def _value_strings(radius: int, digits: int) -> list[str]:
     return [line % t for t in itertools.product(range(-radius, radius + 1), repeat=digits)]
 
 
-def _dump_text(lo: int, values: np.ndarray, train: np.ndarray, radius: int) -> str:
+def _dump_text(lo: int, values: np.ndarray, train: np.ndarray, radius: int,
+               size: int) -> str:
     """Dump lines for the candidates lo, lo + 1, ... whose free values are
     the columns of ``values``: id, free values, training error, each line
     equal to ("%d," * (free + 1) + "%.17g\n") % row.
 
-    The low free // 2 base-(2r+1) digits of the id come from a table of at
-    most sqrt(MAX_CANDIDATES) entries, which repeat in order. The high
+    The low base-(2r+1) digits of the id, those that _digit_patterns takes
+    from a pattern (their period fits in ``size`` ids, a chunk), come from a
+    table of at most ``size`` entries, which repeat in order. The high
     digits are formatted once per run of consecutive ids that shares them,
     from the run's first column. So only the id is formatted per line; the
     error column is formatted at once by numtext.format_g17, which leaves
     every cell it cannot decide for certain to Python's %.
     """
     free_count, count = values.shape
-    low_digits = free_count // 2
+    low_digits = sum(p is not None for p in _digit_patterns(radius, free_count, size))
     block = (2 * radius + 1) ** low_digits  # consecutive ids that share their high digits
     firsts = [0, *range(block - lo % block, count, block)]  # each run's first column
     line = "," + "%d," * (free_count - low_digits)  # with the comma after the id

@@ -416,6 +416,62 @@ class TestScenarioCommand:
         assert "Warning" not in proc.stderr
 
 
+class TestOutputsThatNameOneFile:
+    """Two outputs that name one file, or an output that names an input,
+    exit 2 with a message that names the file, before anything is read or
+    written."""
+
+    def test_fit_report_and_dump(self, planted_csv, tmp_path):
+        out = tmp_path / "fit.out"
+        proc = run_cli("fit", "--data", planted_csv, "--r", 1, "--out", out,
+                       "--dump-candidates", out)
+        assert proc.returncode == 2
+        assert (f"configuration error: --out and --dump-candidates name the same file: {out}"
+                in proc.stderr)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_trajectory_and_chart(self, planted_csv, fit_report, tmp_path):
+        out = tmp_path / "traj.out"
+        proc = run_cli("simulate", "--data", planted_csv, "--alpha", fit_report,
+                       "--out", out, "--svg", tmp_path / "." / "traj.out")
+        assert proc.returncode == 2
+        assert "configuration error: --out and --svg name the same file:" in proc.stderr
+        assert "trajectory written" not in proc.stdout
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag, source", [
+        ("simulate", "--out", "--data"),
+        ("simulate", "--svg", "--alpha"),
+        ("fit", "--dump-candidates", "--data"),
+        ("scenario", "--out", "--inputs"),
+        ("scenario", "--svg", "--alpha"),
+    ])
+    def test_output_on_an_input_keeps_its_bytes(self, planted_csv, fit_report, tmp_path,
+                                                 command, flag, source):
+        files = {"--data": tmp_path / "data.csv", "--alpha": tmp_path / "alpha.json",
+                 "--inputs": tmp_path / "future.csv"}
+        files["--data"].write_bytes(planted_csv.read_bytes())
+        files["--alpha"].write_bytes(fit_report.read_bytes())
+        files["--inputs"].write_text("label,y_1,y_2,y_3,y_4\nf0,0.2,0.5,0.5,0.5\n",
+                                     encoding="utf-8")
+        args = {
+            "fit": ["--data", files["--data"], "--out", tmp_path / "r.json"],
+            "simulate": ["--data", files["--data"], "--alpha", files["--alpha"],
+                         "--out", tmp_path / "t.csv"],
+            "scenario": ["--data", files["--data"], "--kind", "custom-inputs",
+                         "--alpha", files["--alpha"], "--inputs", files["--inputs"],
+                         "--out", tmp_path / "t.csv"],
+        }[command]
+        (tmp_path / "sub").mkdir()
+        same = tmp_path / "sub" / ".." / files[source].name  # the input, spelled another way
+        before = {p.name: p.read_bytes() for p in files.values()}
+        proc = run_cli(command, *args, flag, same)  # the last --out given wins
+        assert proc.returncode == 2
+        assert (f"configuration error: {source} and {flag} name the same file: {same}"
+                in proc.stderr)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
 class TestUnreadableFiles:
     """Loader and coefficient-file failures exit with their code and a
     message that names the line or file, never with a traceback."""

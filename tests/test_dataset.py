@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, ramp_inputs
+from marketdyn import dataset as dataset_module
 from marketdyn.dataset import (
     MarketDataset,
     _parse_header,
@@ -476,3 +477,31 @@ class TestIngestEqualsRowByRowLoad:
         text = "label,share_1,share_2,y_1\na,0.5,0.5,1\nb,0.5,0.1,1\nc,-1e308,-1e308,1\n"
         with pytest.raises(DataError, match=r"^line 3: share sum 0\.6 outside"):
             load_csv(io.StringIO(text))
+
+    def test_no_data_line_is_parsed_twice(self, monkeypatch):
+        """A share row that fails its check is named from the values already
+        parsed: on the line-by-line path (a quoted label) each line up to
+        the first rejected one reaches _parse_row once, and on numpy's path a
+        bad share sum reaches it not at all, and a non-finite cell once."""
+        parsed = []
+        parse_row = dataset_module._parse_row
+
+        def spy(line_no, line, width):
+            parsed.append(line_no)
+            return parse_row(line_no, line, width)
+
+        monkeypatch.setattr(dataset_module, "_parse_row", spy)
+        plain = "label,share_1,share_2,y_1\na,0.5,0.5,1\nb,0.5,0.1,1\nc,0.5,0.5,2\n"
+        cases = (
+            (plain.replace("a,", '"a",'), [2, 3, 4], r"^line 3: share sum 0\.6 outside"),
+            (plain.replace("a,", '"a",').replace("0.1,1", "0.5"), [2, 3],
+             r"^line 3: expected 4 fields, got 3$"),
+            (plain, [], r"^line 3: share sum 0\.6 outside \[0\.9, 1\.1\]$"),
+            (plain.replace("0.1,1", "0.5,inf"), [3],
+             r"^line 3: values must be finite, got 'inf'$"),
+        )
+        for text, lines, message in cases:
+            parsed.clear()
+            with pytest.raises(DataError, match=message):
+                load_csv(io.StringIO(text))
+            assert parsed == lines

@@ -861,7 +861,22 @@ class TestDumpText:
         expected = "".join(line % (lo + k, *values[:, k].tolist(), errors[k])
                            for k in range(count))
         # the search passes its float block of free values
-        assert learn._dump_text(lo, values.astype(float), errors, radius) == expected
+        assert learn._dump_text(lo, values.astype(float), errors, radius, block) == expected
+
+    @pytest.mark.parametrize("radius, free_count, lo", [(4000, 1, 3_000), (4000, 2, 12_345),
+                                                        (4, 6, 81_920), (3, 6, 16_384)])
+    def test_chunk_sized_table_equals_per_row_formatting(self, radius, free_count, lo):
+        """At the search's chunk size the table holds every low digit whose
+        period fits in a chunk, so one free value at r4000 comes from the
+        table whole; the other ranges cross a run of their high digits."""
+        count = 4000
+        values = decoded_block(lo, count, radius, free_count)
+        errors = np.random.default_rng(lo).random(count)
+        line = "%d," * (free_count + 1) + "%.17g\n"
+        expected = "".join(line % (lo + k, *values[:, k].tolist(), errors[k])
+                           for k in range(count))
+        size = min(learn._CHUNK_SIZE, (2 * radius + 1) ** free_count)  # as the search passes
+        assert learn._dump_text(lo, values.astype(float), errors, radius, size) == expected
 
 
 class TestFitEscalating:

@@ -64,6 +64,7 @@ def test_families_equal_percent_formatting(spec, function, values, cols):
 _CELL = st.one_of(st.floats(), st.sampled_from(FAMILIES), st.floats(-1e4, 1e4))
 _F2_CELL = st.one_of(st.floats(-1e16, 1e16), st.sampled_from(F2_FAMILIES),
                      st.floats(-1e4, 1e4), st.sampled_from([math.nan, math.inf, -0.0]))
+_DRAWN = 200  # cells drawn per block; two blocks stay within Hypothesis's size limit
 
 
 @settings(max_examples=100, deadline=None)
@@ -72,13 +73,16 @@ def test_random_blocks_equal_percent_formatting(data, cols):
     """Any float64, nan, infinities, subnormals and signed zeros included,
     mixed with the families above, in blocks of fewer cells than _FEW and
     of more; "%.2f" cells mostly below 1e16, where the formatter does not
-    hand its whole part to Python's %."""
+    hand its whole part to Python's %. A block repeats its first _DRAWN
+    cells: drawn whole, most blocks of _FEW cells or more overran
+    Hypothesis's size limit and were dropped."""
     few = -(-numtext._FEW // cols)  # the rows of the smallest block formatted as arrays
     rows = data.draw(st.one_of(st.integers(1, few - 1), st.integers(few, few + 40)))
+    drawn = min(rows * cols, _DRAWN)
     for spec, function, cell in (("%.17g", numtext.format_g17, _CELL),
                                  ("%.2f", numtext.format_f2, _F2_CELL)):
-        cells = data.draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
-        block = np.array(cells, dtype=np.float64).reshape(rows, cols)
+        cells = data.draw(st.lists(cell, min_size=drawn, max_size=drawn))
+        block = np.resize(np.array(cells, dtype=np.float64), (rows, cols))
         assert function(block) == percent(block, spec)
 
 
